@@ -4,9 +4,10 @@ errors fall inside tolerance.
 
 Attribution is declared, not fitted: each tunable parameter names the one
 metric it drives (I/O sizes -> byte counters, compute-only loop counts ->
-makespan). Updates are damped proportional steps with rejection of
-worsening iterations. The resulting mapping lets new original-workflow
-configurations be translated to mini-app parameters without re-tuning.
+makespan). Updates are damped proportional steps; a step that overshoots
+its own metric's goal is rejected for that metric alone. The resulting
+mapping lets new original-workflow configurations be translated to mini-app
+parameters without re-tuning.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .engine import WorkflowConfig, WorkflowSpec, load_workflow
 from .metrics import MetricsSummary
-from .tasks import scale_values
+from .tasks import _walk, scale_values
 
 DAMPING = 0.8
 STEP_CLIP = (0.1, 10.0)
@@ -127,15 +128,23 @@ def _split_task_path(path):
     return parts[1], ".".join(parts[2:])
 
 
-def _get_workflow_param(doc, path):
+def _param_slot(doc, path):
+    """(container, key) of the value a workflow-scoped path addresses."""
     task_name, rest = _split_task_path(path)
     for tdoc in doc["tasks"]:
         if tdoc["name"] == task_name:
-            node = tdoc
-            for seg in rest.split("."):
-                node = node[int(seg)] if isinstance(node, list) else node[seg]
-            return node
+            return _walk(tdoc, rest.split("."), path)
     raise InvalidParameter(f"no task {task_name!r} for path {path}")
+
+
+def _get_workflow_param(doc, path):
+    node, key = _param_slot(doc, path)
+    return node[key]
+
+
+def _set_workflow_param(doc, path, value):
+    node, key = _param_slot(doc, path)
+    node[key] = value
 
 
 def _scale_workflow_param(doc, path, factor):
@@ -225,8 +234,14 @@ def calibrate(spec: WorkflowSpec, target: TargetMetrics, ratio: float,
     base_config = base_config or WorkflowConfig()
 
     doc = spec.to_dict()
-    best_doc, best_residuals, best_goals, best_measured = None, None, None, None
-    damping = DAMPING
+    paths = {}
+    for attr in attribution:
+        paths.setdefault((attr.category, attr.metric), []).append(attr.path)
+    best_doc, best_residuals = None, None
+    # each metric accepts or rejects its own step, so a noisy makespan
+    # sample does not also roll back the byte-size updates
+    accepted = {}   # metric key -> (residual, measured value, {path: value})
+    damping = dict.fromkeys(paths, DAMPING)
     for _ in range(max_iters):
         candidate = load_workflow(copy.deepcopy(doc))
         try:
@@ -237,24 +252,33 @@ def calibrate(spec: WorkflowSpec, target: TargetMetrics, ratio: float,
         worst = max(residuals.values(), default=0.0)
         if best_residuals is None or worst < max(best_residuals.values(), default=0.0):
             best_doc, best_residuals = copy.deepcopy(doc), residuals
-            best_goals, best_measured = goals, measured
-        else:
-            # worsening step: back off to the best document and damp harder
-            doc = copy.deepcopy(best_doc)
-            damping *= 0.5
         if max(best_residuals.values(), default=0.0) <= tolerance:
             break
-        # proportional update from the last accepted state
-        for attr in attribution:
-            key = (attr.category, attr.metric)
-            if key not in best_goals:
-                continue
-            got = best_measured.get(attr.category, {}).get(attr.metric, 0.0)
+        # proportional update from each metric's last accepted state
+        for key, goal in goals.items():
+            category, metric = key
+            residual = residuals[f"{category}.{metric}"]
+            got = measured.get(category, {}).get(metric, 0.0)
+            # a worse sample on the same side of the goal is fresh news about
+            # the current values (host noise, drift); only a step that crossed
+            # the goal and landed farther away overshot
+            overshot = (key in accepted and residual >= accepted[key][0]
+                        and (got > goal) != (accepted[key][1] > goal))
+            if overshot:
+                # back off to the accepted values and damp harder
+                damping[key] *= 0.5
+                for path, value in accepted[key][2].items():
+                    _set_workflow_param(doc, path, value)
+            else:
+                values = {p: _get_workflow_param(doc, p) for p in paths[key]}
+                accepted[key] = (residual, got, values)
+            got = accepted[key][1]
             if got <= 0:
                 continue
-            step = (best_goals[key] / got) ** damping
+            step = (goal / got) ** damping[key]
             step = min(max(step, STEP_CLIP[0]), STEP_CLIP[1])
-            _scale_workflow_param(doc, attr.path, step)
+            for path in paths[key]:
+                _scale_workflow_param(doc, path, step)
 
     tuned_doc = best_doc
     tuned = load_workflow(copy.deepcopy(tuned_doc))

@@ -286,9 +286,10 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
     if failure is not None:
         name, err = failure
         raise TaskFailed(f"task {name} failed: {err}") from err
-    trace = RunTrace(run_id=run_id or uuid.uuid4().hex[:12], pool=pool,
-                     events=sink.events, records=sink.records)
-    return trace
+    # declaration order: completion order depends on thread timing
+    records = sorted(sink.records, key=lambda r: order_index[r.task_name])
+    return RunTrace(run_id=run_id or uuid.uuid4().hex[:12], pool=pool,
+                    events=sink.events, records=records)
 
 
 # --------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class UnknownParameter(WfMiniError):
     pass
 
 
-class InsufficientSlots(WfMiniError):
-    pass
-
-
 class KernelFailure(WfMiniError):
     pass
 

@@ -103,8 +103,9 @@ def inverse_problem_spec(model: str, config: str,
     write_size = _sized(6_250_000, s)
     mat_dim = max(2, int(1600 * s))
     # sampling dominates wall time; a fixed block with a scale-proportional
-    # repetition count keeps time exactly linear in desk_scale (large single
-    # allocations are not, thanks to mmap churn)
+    # repetition count keeps time linear in desk_scale. RNG streams each call
+    # through the lane's fixed work block, so no call allocates in proportion
+    # to its data_size
     sample_block = 500_000
     sim_reps = _sized(1000, s)
     train_reps = _sized(100, s)

@@ -32,8 +32,9 @@ from .errors import (
 )
 from .trace import MetricsSink
 
-IO_BLOCK = 4 * 2 ** 20  # I/O happens in 4 MiB blocks
-ELEMENT_WIDTH = 8       # communicated elements are double width
+IO_BLOCK = 4 * 2 ** 20    # writes happen in 4 MiB blocks
+WORK_BLOCK = 64 * 2 ** 10  # float64 elements in a lane's work block (512 KiB)
+ELEMENT_WIDTH = 8          # communicated elements are double width
 
 SCRATCH_ENV = "WFMINI_SCRATCH"
 SEED_ENV = "WFMINI_SEED"
@@ -188,7 +189,10 @@ class Scratch:
 
 @dataclass
 class KernelContext:
-    """Per-rank execution context handed to every kernel."""
+    """Per-rank execution context handed to every kernel.
+
+    The default scratch manager and the work block are built on first use,
+    so a context that runs only compute kernels touches no file system."""
 
     rank_id: int = 0
     comm: Communicator | None = None
@@ -199,18 +203,36 @@ class KernelContext:
     clock: callable = time.perf_counter
     copy_bandwidth: float = DEFAULT_COPY_BANDWIDTH
     pools: dict = None
+    _block: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if self.rng is None:
             self.rng = np.random.default_rng(int(os.environ.get(SEED_ENV, "0")))
-        if self.scratch is None:
-            self.scratch = Scratch()
         if self.pools is None:
             self.pools = {"host": {}, "device": {}}
 
+    def work_block(self) -> np.ndarray:
+        """The lane's reusable float64 block of WORK_BLOCK elements: large
+        kernel buffers stream through it instead of being allocated whole."""
+        if self._block is None:
+            self._block = np.empty(WORK_BLOCK)
+        return self._block
 
-def make_context(**kwargs) -> KernelContext:
-    return KernelContext(**kwargs)
+
+def _get_scratch(ctx) -> Scratch:
+    if ctx._scratch is None:
+        ctx._scratch = Scratch()
+    return ctx._scratch
+
+
+def _set_scratch(ctx, scratch):
+    ctx._scratch = scratch
+
+
+# The generated __init__ assigns `scratch` through this property, and the
+# default Scratch (mkdir plus a probe file) is built on first read.
+KernelContext.scratch = property(_get_scratch, _set_scratch)
 
 
 # --------------------------------------------------------------------------
@@ -273,7 +295,7 @@ def execute_kernel(call: KernelCall, comm: Communicator | None = None,
     if ctx is None:
         ctx = KernelContext(comm=comm)
     elif comm is not None:
-        ctx = replace(ctx, comm=comm)
+        ctx = replace(ctx, comm=comm, scratch=ctx._scratch)
     if kdef.needs_comm and ctx.comm is None:
         raise CommunicatorRequired(f"{kdef.name} is a collective and needs a communicator")
     if not kdef.needs_comm and comm is not None:
@@ -328,16 +350,14 @@ _SEED_BLOCK = 4096
 def seeded_buffer(rng, n, dtype=np.float64):
     """Deterministic length-n buffer from a small seeded block.
 
-    Tiling a 4 Ki block keeps rank lanes from serializing on the GIL-held
-    generator while staying reproducible (one block draw per call)."""
+    Tiling a block of at most 4 Ki keeps rank lanes from serializing on the
+    GIL-held generator while staying reproducible (one block draw per call)."""
+    m = min(n, _SEED_BLOCK)
     if dtype == np.uint8:
-        block = rng.integers(0, 256, _SEED_BLOCK, dtype=np.uint8)
+        block = rng.integers(0, 256, m, dtype=np.uint8)
     else:
-        block = rng.random(_SEED_BLOCK)
-    if n <= block.size:
-        return block[:n].copy()
-    reps = -(-n // block.size)
-    return np.tile(block, reps)[:n]
+        block = rng.random(m)
+    return block if n == m else np.resize(block, n)
 
 
 def _k_matmul_simple2d(ctx, device, params):
@@ -386,8 +406,16 @@ def _k_rng(ctx, device, params):
     if dist not in ("uniform", "normal"):
         raise InvalidParameter(f"unknown distribution {dist!r}")
     gen = np.random.default_rng(params["seed"]) if "seed" in params else ctx.rng
-    data = gen.random(n) if dist == "uniform" else gen.standard_normal(n)
-    return KernelResult(checksum=float(data.sum()))
+    fill = gen.random if dist == "uniform" else gen.standard_normal
+    # drawing block by block consumes the stream exactly as one whole draw
+    # would; the checksum is the sum of the per-block sums
+    block = ctx.work_block()
+    checksum = 0.0
+    for start in range(0, n, block.size):
+        part = block[:n - start]
+        fill(out=part)
+        checksum += float(part.sum())
+    return KernelResult(checksum=checksum)
 
 
 def _k_axpy(ctx, device, params):
@@ -428,17 +456,24 @@ def _k_read_nonmpi(ctx, device, params):
     if size == 0:
         return KernelResult()
     path = ctx.scratch.staged_source(size)
+    buf = _byte_block(ctx)
     count = 0
-    with path.open("rb") as f:
+    with path.open("rb", buffering=0) as f:
         while count < size:
-            chunk = f.read(min(IO_BLOCK, size - count))
-            if not chunk:
+            n = f.readinto(buf[:size - count])
+            if not n:
                 raise ShortRead(f"read {count} of {size} bytes from {path}")
-            count += len(chunk)
+            count += n
     return KernelResult(bytes_read=count)
 
 
-_ZERO_BLOCK = bytes(IO_BLOCK)
+def _byte_block(ctx):
+    """The lane's work block as a writable byte view, the target of reads."""
+    return memoryview(ctx.work_block()).cast("B")
+
+
+# writes send slices of this view, so no block is copied per write
+_ZERO_BLOCK = memoryview(bytes(IO_BLOCK))
 
 
 def _k_write_nonmpi(ctx, device, params):
@@ -450,7 +485,7 @@ def _k_write_nonmpi(ctx, device, params):
     try:
         with path.open("ab") as f:
             while count < size:
-                n = f.write(_ZERO_BLOCK[:min(IO_BLOCK, size - count)])
+                n = f.write(_ZERO_BLOCK[:size - count])
                 count += n
             if ctx.scratch.fsync:
                 f.flush()
@@ -473,18 +508,19 @@ def _mpi_io(ctx, device, params, direction):
     comm.barrier(params.get("timeout"))
     offset = ctx.rank_id * size
     flags = os.O_RDONLY if direction == "read" else os.O_WRONLY
+    buf = _byte_block(ctx) if direction == "read" else _ZERO_BLOCK
     fd = os.open(path, flags)
     try:
         count = 0
         while count < size:
-            step = min(IO_BLOCK, size - count)
+            chunk = buf[:size - count]
             if direction == "read":
-                chunk = os.pread(fd, step, offset + count)
-                if not chunk:
+                n = os.preadv(fd, [chunk], offset + count)
+                if not n:
                     raise ShortRead(f"short shared read at offset {offset + count}")
-                count += len(chunk)
+                count += n
             else:
-                count += os.pwrite(fd, _ZERO_BLOCK[:step], offset + count)
+                count += os.pwrite(fd, chunk, offset + count)
     finally:
         os.close(fd)
     if direction == "read":
@@ -503,7 +539,7 @@ def _k_write_mpi(ctx, device, params):
 # --------------------------------------------------------------------------
 # collectives
 
-def _k_allreduce(ctx, device, params, is_async=False):
+def _k_allreduce(ctx, device, params):
     if ctx.comm is None:
         raise CommunicatorRequired("MPIallReduce needs a communicator")
     n = _positive_int(params, "data_size")
@@ -511,10 +547,6 @@ def _k_allreduce(ctx, device, params, is_async=False):
     out = ctx.comm.allreduce(ctx.rank_id, data, params.get("timeout"))
     comm_bytes = n * ELEMENT_WIDTH * (ctx.comm.size - 1)  # ring model, per rank
     return KernelResult(bytes_communicated=comm_bytes, checksum=float(out.sum()))
-
-
-def _k_allreduce_async(ctx, device, params):
-    return _k_allreduce(ctx, device, params, is_async=True)
 
 
 def _k_allgather(ctx, device, params):
@@ -570,7 +602,7 @@ register_kernel("writeNonMPI", _k_write_nonmpi, required=("data_size",))
 register_kernel("readWithMPI", _k_read_mpi, required=("data_size",), needs_comm=True)
 register_kernel("writeWithMPI", _k_write_mpi, required=("data_size",), needs_comm=True)
 register_kernel("MPIallReduce", _k_allreduce, required=("data_size",), needs_comm=True)
-register_kernel("MPIallReduceAsync", _k_allreduce_async, required=("data_size",),
+register_kernel("MPIallReduceAsync", _k_allreduce, required=("data_size",),
                 needs_comm=True)
 register_kernel("MPIallGather", _k_allgather, required=("data_size",), needs_comm=True)
 register_kernel("dataCopyH2D", _k_copy_h2d, required=("data_size",))

@@ -2,7 +2,9 @@
 brute-force oracle, byte-exact I/O accounting, device emulation, registry
 behavior, and determinism."""
 import math
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +15,14 @@ from wfmini.errors import (
     DuplicateKernel,
     InvalidParameter,
     MissingParameter,
+    ShortRead,
     UnknownKernel,
 )
 from wfmini.kernels import (
     IO_BLOCK,
+    SCRATCH_ENV,
+    WORK_BLOCK,
+    Communicator,
     Device,
     KernelCall,
     KernelContext,
@@ -219,6 +225,34 @@ def test_rng_normal_and_validation():
         run("RNG", data_size=0)
 
 
+@pytest.mark.parametrize("dist", ["uniform", "normal"])
+def test_rng_streams_blocks_like_one_whole_draw(dist):
+    n = 3 * WORK_BLOCK + 7
+    draw = "random" if dist == "uniform" else "standard_normal"
+    res = run("RNG", data_size=n, distribution=dist, seed=11)
+    want = getattr(np.random.default_rng(11), draw)(n).sum()
+    assert res.checksum == pytest.approx(want, rel=1e-12)
+
+    # without a seed the kernel draws from the lane generator, and leaves it
+    # where one whole-array draw would
+    ctx = ctx_with(seed=4)
+    execute_kernel(KernelCall("RNG", {"data_size": n, "distribution": dist}), ctx=ctx)
+    ref = np.random.default_rng(4)
+    getattr(ref, draw)(n)
+    assert ctx.rng.random() == ref.random()
+
+
+def test_rng_memory_does_not_grow_with_data_size():
+    ctx = ctx_with()
+    tracemalloc.start()
+    try:
+        execute_kernel(KernelCall("RNG", {"data_size": 2_000_000}), ctx=ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_seeded_buffer_tiles_deterministically():
     a = seeded_buffer(np.random.default_rng(3), 10_000)
     b = seeded_buffer(np.random.default_rng(3), 10_000)
@@ -246,6 +280,58 @@ def test_read_nonmpi_exact_bytes(isolated_scratch):
                          ctx=ctx_with(scratch=Scratch(isolated_scratch)))
     assert res.bytes_read == size
     assert res.bytes_written == 0
+
+
+def test_mpi_io_exact_bytes_across_blocks(isolated_scratch):
+    size = IO_BLOCK + 12_345  # spans a block boundary on every rank
+    comm = Communicator(2)
+    scratch = Scratch(isolated_scratch)
+    results = {}
+
+    def lane(rank_id):
+        ctx = ctx_with(rank_id=rank_id, comm=comm, scratch=scratch)
+        for name in ("writeWithMPI", "readWithMPI"):
+            results[name, rank_id] = execute_kernel(
+                KernelCall(name, {"data_size": size}), ctx=ctx)
+
+    threads = [threading.Thread(target=lane, args=(r,)) for r in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    for r in range(2):
+        assert results["writeWithMPI", r].bytes_written == size
+        assert results["readWithMPI", r].bytes_read == size
+    assert scratch.shared_path("task").stat().st_size == 2 * size
+
+
+@pytest.mark.parametrize("kernel", ["readNonMPI", "readWithMPI"])
+def test_truncated_source_raises_short_read(isolated_scratch, kernel):
+    size = 2 * IO_BLOCK
+    scratch = Scratch(isolated_scratch)
+    stage = scratch.staged_source
+
+    def truncated(n, name="stage-src.dat"):
+        path = stage(n, name=name)
+        with path.open("r+b") as f:
+            f.truncate(n - IO_BLOCK - 3)
+        return path
+
+    scratch.staged_source = truncated
+    comm = Communicator(1) if kernel == "readWithMPI" else None
+    with pytest.raises(ShortRead):
+        execute_kernel(KernelCall(kernel, {"data_size": size}),
+                       ctx=ctx_with(comm=comm, scratch=scratch))
+
+
+def test_contextless_compute_kernel_builds_no_scratch(isolated_scratch, monkeypatch):
+    root = isolated_scratch / "lazy"
+    monkeypatch.setenv(SCRATCH_ENV, str(root))
+    execute_kernel(KernelCall("reduction", {"data_size": 8}))
+    assert not root.exists()
+    execute_kernel(KernelCall("writeNonMPI", {"data_size": 8}))
+    assert root.is_dir()
 
 
 def test_zero_byte_io_is_noop(isolated_scratch):
