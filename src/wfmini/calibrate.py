@@ -121,20 +121,21 @@ def default_attribution(spec: WorkflowSpec) -> list:
     return out
 
 
-def _split_task_path(path):
-    parts = path.split(".")
+def _task_doc(doc, path):
+    """(task document, rest of the path) for a path tasks.<name>.<rest>."""
+    parts = path.split(".", 2)
     if len(parts) < 3 or parts[0] != "tasks":
         raise InvalidParameter(f"workflow parameter path must start with tasks.<name>.: {path}")
-    return parts[1], ".".join(parts[2:])
+    for tdoc in doc["tasks"]:
+        if tdoc["name"] == parts[1]:
+            return tdoc, parts[2]
+    raise InvalidParameter(f"no task {parts[1]!r} for path {path}")
 
 
 def _param_slot(doc, path):
     """(container, key) of the value a workflow-scoped path addresses."""
-    task_name, rest = _split_task_path(path)
-    for tdoc in doc["tasks"]:
-        if tdoc["name"] == task_name:
-            return _walk(tdoc, rest.split("."), path)
-    raise InvalidParameter(f"no task {task_name!r} for path {path}")
+    tdoc, rest = _task_doc(doc, path)
+    return _walk(tdoc, rest.split("."), path)
 
 
 def _get_workflow_param(doc, path):
@@ -148,12 +149,8 @@ def _set_workflow_param(doc, path, value):
 
 
 def _scale_workflow_param(doc, path, factor):
-    task_name, rest = _split_task_path(path)
-    for tdoc in doc["tasks"]:
-        if tdoc["name"] == task_name:
-            scale_values(tdoc, {rest: factor}, path_prefix=f"{task_name}:")
-            return
-    raise InvalidParameter(f"no task {task_name!r} for path {path}")
+    tdoc, rest = _task_doc(doc, path)
+    scale_values(tdoc, {rest: factor}, path_prefix=f"{tdoc['name']}:")
 
 
 def measured_by_category(summary: MetricsSummary) -> dict:

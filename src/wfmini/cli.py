@@ -75,8 +75,7 @@ def cmd_run(args):
         run_dir.mkdir(parents=True, exist_ok=True)
         scratch = Scratch(args.scratch) if args.scratch else Scratch()
         try:
-            trace = execute(spec, pool, seed=seed, scratch=scratch,
-                            keep_scratch=args.keep_scratch, run_id=f"run-{i}")
+            trace = execute(spec, pool, seed=seed, scratch=scratch, run_id=f"run-{i}")
         except TaskFailed as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_RUNTIME
@@ -84,12 +83,13 @@ def cmd_run(args):
             if not args.keep_scratch:
                 scratch.cleanup()
         trace.write_jsonl(run_dir / "trace.jsonl")
-        _write_json(run_dir / "summary.json", summarize(trace).to_dict())
+        summary = summarize(trace)
+        _write_json(run_dir / "summary.json", summary.to_dict())
         _write_json(run_dir / "config.json", {
             "seed": seed, "pool": pool.to_dict(), "workflow": spec.to_dict(),
             "exemplar": args.exemplar, "desk_scale": args.desk_scale,
         })
-        print(f"run-{i}: makespan {summarize(trace).makespan:.3f}s -> {run_dir}")
+        print(f"run-{i}: makespan {summary.makespan:.3f}s -> {run_dir}")
     return EXIT_OK
 
 
@@ -212,7 +212,7 @@ def cmd_exemplar(args):
     return EXIT_OK
 
 
-def _add_spec_source(p, require=True):
+def _add_spec_source(p):
     p.add_argument("--workflow", help="workflow JSON document")
     p.add_argument("--exemplar", help="exemplar selector family:model:config, "
                                       "e.g. ip:serial_cpu:V1 or ddmd:async:V2")

@@ -97,8 +97,8 @@ def load_workflow(document) -> WorkflowSpec:
     if not isinstance(tasks_doc, list) or not tasks_doc:
         raise SchemaError("workflow needs a non-empty 'tasks' list")
     tasks = [parse_task_spec(t) for t in tasks_doc]
-    names = [t.name for t in tasks]
-    if len(set(names)) != len(names):
+    names = {t.name for t in tasks}
+    if len(names) != len(tasks):
         raise SchemaError("duplicate task names in workflow")
     edges = []
     for e in document.get("edges", []):
@@ -115,47 +115,48 @@ def load_workflow(document) -> WorkflowSpec:
     return WorkflowSpec(tasks=tasks, edges=edges, phases=phases, execution_model=model)
 
 
+def _graph(spec: WorkflowSpec):
+    """Per-task predecessor and successor lists; a repeated edge repeats."""
+    preds = {name: [] for name in spec.task_names}
+    succs = {name: [] for name in preds}
+    for p, s in spec.edges:
+        preds[s].append(p)
+        succs[p].append(s)
+    return preds, succs
+
+
+def _kahn(preds, succs):
+    """Topological order by Kahn's algorithm: sources in declaration order,
+    then tasks as their last predecessor releases them. Raises CycleDetected
+    (reporting one cycle) when tasks are left over."""
+    indeg = {name: len(ps) for name, ps in preds.items()}
+    order = [name for name, d in indeg.items() if d == 0]
+    for name in order:  # order grows as tasks are released
+        for s in succs[name]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                order.append(s)
+    if len(order) < len(indeg):
+        # every left-over task has a left-over predecessor, so walking back
+        # through them must repeat a task; the walk from there is a cycle
+        name = next(n for n, d in indeg.items() if d)
+        walk, seen = [], {}
+        while name not in seen:
+            seen[name] = len(walk)
+            walk.append(name)
+            name = next(p for p in preds[name] if indeg[p])
+        raise CycleDetected([name] + walk[seen[name]:][::-1])
+    return order
+
+
 def validate_dag(spec: WorkflowSpec):
     """Raise CycleDetected (reporting one cycle) unless the edge relation is
     acyclic."""
-    succs = {name: [] for name in spec.task_names}
-    for p, s in spec.edges:
-        succs[p].append(s)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in succs}
-    stack_path = []
-
-    def visit(n):
-        color[n] = GREY
-        stack_path.append(n)
-        for s in succs[n]:
-            if color[s] == GREY:
-                cycle = stack_path[stack_path.index(s):] + [s]
-                raise CycleDetected(cycle)
-            if color[s] == WHITE:
-                visit(s)
-        stack_path.pop()
-        color[n] = BLACK
-
-    for n in list(succs):
-        if color[n] == WHITE:
-            visit(n)
+    _kahn(*_graph(spec))
 
 
 def topological_order(spec: WorkflowSpec):
-    validate_dag(spec)
-    indeg = {n: 0 for n in spec.task_names}
-    for _, s in spec.edges:
-        indeg[s] += 1
-    order, ready = [], [n for n in spec.task_names if indeg[n] == 0]
-    while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for s in spec.successors(n):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-    return order
+    return _kahn(*_graph(spec))
 
 
 def critical_path(spec: WorkflowSpec, durations: dict) -> float:
@@ -163,9 +164,10 @@ def critical_path(spec: WorkflowSpec, durations: dict) -> float:
     missing = set(spec.task_names) - set(durations)
     if missing:
         raise KeyError(f"durations missing for tasks: {sorted(missing)}")
+    preds, succs = _graph(spec)
     finish = {}
-    for name in topological_order(spec):
-        start = max((finish[p] for p in spec.predecessors(name)), default=0.0)
+    for name in _kahn(preds, succs):
+        start = max((finish[p] for p in preds[name]), default=0.0)
         finish[name] = start + durations[name]
     return max(finish.values(), default=0.0)
 
@@ -200,7 +202,7 @@ class _SlotBank:
 
 
 def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
-            scratch: Scratch | None = None, keep_scratch: bool = False,
+            scratch: Scratch | None = None,
             copy_bandwidth: float = DEFAULT_COPY_BANDWIDTH,
             collective_timeout: float = 30.0, run_id: str | None = None) -> RunTrace:
     """Run every task exactly once, honoring dependencies and slot
@@ -222,12 +224,13 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
     clock = lambda: time.perf_counter() - t0
     bank = _SlotBank(pool)
     done_q = queue.Queue()
-    order_index = {name: i for i, name in enumerate(spec.task_names)}
-    pending_preds = {name: len(set(spec.predecessors(name))) for name in spec.task_names}
-    ready = sorted((n for n, c in pending_preds.items() if c == 0),
-                   key=order_index.get)
+    by_name = {t.name: t for t in spec.tasks}
+    pos = {name: i for i, name in enumerate(by_name)}
+    preds, succs = _graph(spec)
+    pending = {name: len(ps) for name, ps in preds.items()}
+    ready = [name for name, n in pending.items() if n == 0]
     running = {}  # name -> slots
-    finished = set()
+    left = len(by_name)
     failure = None
     serial = spec.execution_model == "serial"
 
@@ -243,26 +246,23 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
                 done_q.put((task_spec.name, e))
         threading.Thread(target=body, name=f"task-{task_spec.name}").start()
 
-    while len(finished) < len(spec.tasks):
+    while left:
         if failure is None:
-            started = True
-            while started:
-                started = False
-                for name in list(ready):
-                    if serial and running:
-                        break
-                    task_spec = spec.task(name)
-                    if not bank.fits(task_spec):
-                        continue
-                    ready.remove(name)
-                    slots = bank.take(task_spec)
-                    now = clock()
-                    for s in slots:
-                        sink.append({"kind": "slot_busy", "slot": list(s),
-                                     "task": name, "t": now})
-                    running[name] = slots
-                    launch(task_spec, slots)
-                    started = True
+            # one pass suffices: taking slots never makes a skipped task fit
+            for name in list(ready):
+                if serial and running:
+                    break
+                task_spec = by_name[name]
+                if not bank.fits(task_spec):
+                    continue
+                ready.remove(name)
+                slots = bank.take(task_spec)
+                now = clock()
+                for s in slots:
+                    sink.append({"kind": "slot_busy", "slot": list(s),
+                                 "task": name, "t": now})
+                running[name] = slots
+                launch(task_spec, slots)
         if not running:
             break
         name, err = done_q.get()
@@ -271,23 +271,23 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
         for s in slots:
             sink.append({"kind": "slot_idle", "slot": list(s), "task": name, "t": now})
         bank.release(slots)
-        finished.add(name)
+        left -= 1
         if err is not None:
             failure = (name, err)
         else:
-            for s in set(spec.successors(name)):
-                pending_preds[s] -= 1
-                if pending_preds[s] == 0:
+            for s in succs[name]:
+                pending[s] -= 1
+                if pending[s] == 0:
                     ready.append(s)
-            ready.sort(key=order_index.get)
+            ready.sort(key=pos.get)
 
-    if own_scratch and not keep_scratch:
+    if own_scratch:
         scratch.cleanup()
     if failure is not None:
         name, err = failure
         raise TaskFailed(f"task {name} failed: {err}") from err
     # declaration order: completion order depends on thread timing
-    records = sorted(sink.records, key=lambda r: order_index[r.task_name])
+    records = sorted(sink.records, key=lambda r: pos[r.task_name])
     return RunTrace(run_id=run_id or uuid.uuid4().hex[:12], pool=pool,
                     events=sink.events, records=records)
 

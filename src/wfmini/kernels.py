@@ -276,13 +276,6 @@ def _positive_int(params, key, minimum=1):
     return int(value)
 
 
-def _size(params, key):
-    value = params[key]
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-        raise InvalidParameter(f"{key} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
 def execute_kernel(call: KernelCall, comm: Communicator | None = None,
                    sink: MetricsSink | None = None,
                    ctx: KernelContext | None = None) -> KernelResult:
@@ -386,7 +379,7 @@ def _k_matmul_general(ctx, device, params):
 
 
 def _k_fft(ctx, device, params):
-    n = _size(params, "data_size")
+    n = _positive_int(params, "data_size", minimum=0)
     if not ops.is_power_of_two(n) or n < 2:
         raise InvalidParameter(f"fft data_size must be a power of two >= 2, got {n}")
     span = params.get("transform_dim", n)
@@ -452,7 +445,7 @@ def _k_inplace_compute(ctx, device, params):
 # file I/O kernels
 
 def _k_read_nonmpi(ctx, device, params):
-    size = _size(params, "data_size")
+    size = _positive_int(params, "data_size", minimum=0)
     if size == 0:
         return KernelResult()
     path = ctx.scratch.staged_source(size)
@@ -477,7 +470,7 @@ _ZERO_BLOCK = memoryview(bytes(IO_BLOCK))
 
 
 def _k_write_nonmpi(ctx, device, params):
-    size = _size(params, "data_size")
+    size = _positive_int(params, "data_size", minimum=0)
     if size == 0:
         return KernelResult()
     path = ctx.scratch.write_path(ctx.task_name, ctx.rank_id)
@@ -496,9 +489,7 @@ def _k_write_nonmpi(ctx, device, params):
 
 
 def _mpi_io(ctx, device, params, direction):
-    if ctx.comm is None:
-        raise CommunicatorRequired("MPI-I/O kernels need a communicator")
-    size = _size(params, "data_size")
+    size = _positive_int(params, "data_size", minimum=0)
     comm = ctx.comm
     path = ctx.scratch.shared_path(ctx.task_name)
     if direction == "read":
@@ -540,8 +531,6 @@ def _k_write_mpi(ctx, device, params):
 # collectives
 
 def _k_allreduce(ctx, device, params):
-    if ctx.comm is None:
-        raise CommunicatorRequired("MPIallReduce needs a communicator")
     n = _positive_int(params, "data_size")
     data = seeded_buffer(ctx.rng, n)
     out = ctx.comm.allreduce(ctx.rank_id, data, params.get("timeout"))
@@ -550,8 +539,6 @@ def _k_allreduce(ctx, device, params):
 
 
 def _k_allgather(ctx, device, params):
-    if ctx.comm is None:
-        raise CommunicatorRequired("MPIallGather needs a communicator")
     n = _positive_int(params, "data_size")
     data = seeded_buffer(ctx.rng, n)
     out = ctx.comm.allgather(ctx.rank_id, data, params.get("timeout"))
@@ -563,7 +550,7 @@ def _k_allgather(ctx, device, params):
 # host<->device data movement
 
 def _data_copy(ctx, device, params, direction):
-    size = _size(params, "data_size")
+    size = _positive_int(params, "data_size", minimum=0)
     if size == 0:
         return KernelResult()
     src_pool, dst_pool = (("host", "device") if direction == "h2d"

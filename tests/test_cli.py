@@ -69,6 +69,20 @@ def test_run_workflow(tmp_path, tiny_workflow, resources):
     assert s0["write_bytes"] == s1["write_bytes"]
 
 
+@pytest.mark.parametrize("keep", [True, False])
+def test_run_keep_scratch(tmp_path, tiny_workflow, resources, keep):
+    scratch = tmp_path / "scratch-dir"
+    argv = ["run", "--workflow", tiny_workflow, "--resources", resources,
+            "--out", str(tmp_path / "out"), "--scratch", str(scratch)]
+    assert main(argv + ["--keep-scratch"] * keep) == EXIT_OK
+    written = sorted(scratch.glob("*.dat"))
+    if keep:
+        assert [p.name for p in written] == ["a-r0.dat"]
+        assert written[0].stat().st_size == 512
+    else:
+        assert written == []
+
+
 def test_run_workflow_requires_resources(tmp_path, tiny_workflow):
     rc = main(["run", "--workflow", tiny_workflow, "--out", str(tmp_path / "o")])
     assert rc == EXIT_USER

@@ -69,12 +69,50 @@ def test_load_workflow_errors():
         load_workflow({"tasks": [task_doc("a")], "edges": [["a"]]})
 
 
-def test_validate_dag_reports_cycle():
-    spec = wf(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+@pytest.mark.parametrize("names, edges, loop", [
+    (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], {"a", "b", "c"}),
+    # a cycle with a tail in and a tail out: only the loop is reported
+    (["x", "a", "b", "c", "d"],
+     [("x", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")], {"a", "b", "c"}),
+    (["a"], [("a", "a")], {"a"}),
+], ids=["three-cycle", "cycle-with-tails", "self-loop"])
+def test_validate_dag_reports_cycle(names, edges, loop):
+    spec = wf(names, edges)
     with pytest.raises(CycleDetected) as exc:
         validate_dag(spec)
     cycle = exc.value.cycle
-    assert cycle[0] == cycle[-1] and set(cycle) == {"a", "b", "c"}
+    assert cycle[0] == cycle[-1] and set(cycle) == loop
+    assert len(cycle) == len(loop) + 1
+    assert all(edge in edges for edge in zip(cycle, cycle[1:]))
+
+
+def test_long_chain_needs_no_recursion():
+    n = 10_000
+    names = [f"t{i}" for i in range(n)]
+    spec = wf(names, list(zip(names, names[1:])))
+    validate_dag(spec)
+    assert topological_order(spec) == names
+    assert critical_path(spec, dict.fromkeys(names, 1.0)) == n
+
+
+def test_long_chain_executes_in_order():
+    n = 1_200
+    names = [f"t{i}" for i in range(n)]
+    spec = wf(names, list(zip(names, names[1:])), **{name: {"program": [
+        {"kernel": "reduction", "params": {"data_size": 8}}]} for name in names})
+    trace = execute(spec, ResourcePool(1, 1), seed=0)
+    assert [r.task_name for r in trace.records] == names
+    for prev, rec in zip(trace.records, trace.records[1:]):
+        assert rec.start >= prev.end
+
+
+def test_repeated_edge_counts_once():
+    spec = wf(["a", "b"], [("a", "b"), ("a", "b")])
+    assert topological_order(spec) == ["a", "b"]
+    assert critical_path(spec, {"a": 2.0, "b": 3.0}) == 5.0
+    trace = execute(spec, ResourcePool(1, 2), seed=0)
+    assert [r.task_name for r in trace.records] == ["a", "b"]
+    assert trace.records[1].start >= trace.records[0].end
 
 
 def test_topological_order_respects_edges():
