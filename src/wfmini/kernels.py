@@ -4,7 +4,8 @@ accounting.
 
 Kernels execute on the invoking rank only; the catalog is immutable after
 registration. Accelerator execution is emulated on host compute: results are
-identical, wall time is scaled by the device slowdown factor.
+identical, compute time is scaled by the device slowdown factor and time
+spent waiting in collectives is not.
 """
 from __future__ import annotations
 
@@ -88,7 +89,8 @@ class Communicator:
     """In-process message links between the ranks of one task.
 
     Collectives require all ranks to participate; a rank that never shows up
-    breaks the barrier for everyone after `timeout` seconds.
+    breaks the barrier for everyone after `timeout` seconds. `waited[r]` is
+    the total time rank r has spent in `barrier`, the one wait point.
     """
 
     def __init__(self, size, timeout=30.0):
@@ -98,21 +100,25 @@ class Communicator:
         self.timeout = timeout
         self._barrier = threading.Barrier(size)
         self._slots = [None] * size
+        self.waited = [0.0] * size
 
-    def barrier(self, timeout=None):
+    def barrier(self, rank_id, timeout=None):
+        t0 = time.perf_counter()
         try:
             self._barrier.wait(timeout if timeout is not None else self.timeout)
         except threading.BrokenBarrierError:
             raise CollectiveMismatch(
                 f"collective abandoned: not all {self.size} ranks participated")
+        finally:
+            self.waited[rank_id] += time.perf_counter() - t0
 
     def _exchange(self, rank_id, value, timeout=None):
         if not 0 <= rank_id < self.size:
             raise InvalidParameter(f"rank {rank_id} out of range for size {self.size}")
         self._slots[rank_id] = value
-        self.barrier(timeout)
+        self.barrier(rank_id, timeout)
         values = list(self._slots)
-        self.barrier(timeout)  # everyone has read; slots may be reused
+        self.barrier(rank_id, timeout)  # everyone has read; slots may be reused
         return values
 
     def allreduce(self, rank_id, data, timeout=None):
@@ -157,7 +163,10 @@ class Scratch:
         """Grow (never shrink) a staged file to at least `size` bytes."""
         path = self.root / name
         with self._lock:
-            current = path.stat().st_size if path.exists() else -1
+            try:
+                current = path.stat().st_size
+            except FileNotFoundError:
+                current = -1
             if current < size:
                 with path.open("ab") as f:
                     f.truncate(size)
@@ -205,6 +214,10 @@ class KernelContext:
     pools: dict = None
     _block: np.ndarray | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    _operands: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _ordinal: int = field(default=0, init=False, repr=False, compare=False)
+    _overslept: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rng is None:
@@ -218,6 +231,36 @@ class KernelContext:
         if self._block is None:
             self._block = np.empty(WORK_BLOCK)
         return self._block
+
+    def operand(self, n) -> np.ndarray:
+        """The lane's read-only float64 operand of length n for this position
+        among the current kernel call's requests.
+
+        The first request for a (length, position) draws it from the lane
+        generator, so a kernel's first call draws what a fresh buffer would;
+        later calls of the same shape reuse it."""
+        key = (n, self._ordinal)
+        self._ordinal += 1
+        buf = self._operands.get(key)
+        if buf is None:
+            buf = seeded_buffer(self.rng, n)
+            buf.setflags(write=False)
+            self._operands[key] = buf
+        return buf
+
+    def dwell(self, seconds):
+        """Emulated busy time: sleep `seconds` less the previous oversleep.
+
+        The OS wakes a sleeper late; crediting that to the next dwell keeps
+        the lane's total dwell at or above the modelled total and above it
+        by at most one oversleep."""
+        want = seconds - self._overslept
+        slept = 0.0
+        if want > 0:
+            t0 = time.perf_counter()
+            time.sleep(want)
+            slept = time.perf_counter() - t0
+        self._overslept = slept - want
 
 
 def _get_scratch(ctx) -> Scratch:
@@ -276,6 +319,11 @@ def _positive_int(params, key, minimum=1):
     return int(value)
 
 
+def _waited(ctx):
+    """Seconds the context's rank has spent in collective barriers so far."""
+    return ctx.comm.waited[ctx.rank_id] if ctx.comm is not None else 0.0
+
+
 def execute_kernel(call: KernelCall, comm: Communicator | None = None,
                    sink: MetricsSink | None = None,
                    ctx: KernelContext | None = None) -> KernelResult:
@@ -301,21 +349,27 @@ def execute_kernel(call: KernelCall, comm: Communicator | None = None,
     for key in kdef.required:
         if key not in params:
             raise MissingParameter(f"{kdef.name} requires parameter {key!r}")
-    device = Device.parse(params.pop("device", HOST)) if "device" in params else HOST
+    device = Device.parse(params.pop("device")) if "device" in params else HOST
 
     sink = sink or ctx.sink
     agg = KernelResult()
     t_start = ctx.clock()
     wall = 0.0
     for _ in range(reps):
+        ctx._ordinal = 0
+        wait0 = _waited(ctx)
         t0 = time.perf_counter()
         part = kdef.fn(ctx, device, params)
         elapsed = time.perf_counter() - t0
-        if device.kind == "accelerator" and device.slowdown_factor != 1.0:
-            extra = elapsed * (device.slowdown_factor - 1.0)
+        if device.slowdown_factor != 1.0:
+            # the device slows compute; time spent waiting for other ranks
+            # is not scaled, or each rank's slowed wait would feed the next
+            wait = _waited(ctx) - wait0
+            compute = elapsed - wait
+            extra = compute * (device.slowdown_factor - 1.0)
             if extra > 0:
-                time.sleep(extra)
-            elapsed *= device.slowdown_factor
+                ctx.dwell(extra)
+            elapsed = compute * device.slowdown_factor + wait
         wall += elapsed
         agg.bytes_read += part.bytes_read
         agg.bytes_written += part.bytes_written
@@ -343,8 +397,10 @@ _SEED_BLOCK = 4096
 def seeded_buffer(rng, n, dtype=np.float64):
     """Deterministic length-n buffer from a small seeded block.
 
-    Tiling a block of at most 4 Ki keeps rank lanes from serializing on the
-    GIL-held generator while staying reproducible (one block draw per call)."""
+    Tiling a block of at most 4 Ki values keeps rank lanes from serializing
+    on the GIL-held generator while staying reproducible: each call makes
+    one block draw. Kernels get their operands through
+    `KernelContext.operand`, which calls this once per lane and shape."""
     m = min(n, _SEED_BLOCK)
     if dtype == np.uint8:
         block = rng.integers(0, 256, m, dtype=np.uint8)
@@ -355,8 +411,8 @@ def seeded_buffer(rng, n, dtype=np.float64):
 
 def _k_matmul_simple2d(ctx, device, params):
     dim = _positive_int(params, "dim")
-    a = seeded_buffer(ctx.rng, dim * dim).reshape(dim, dim)
-    b = seeded_buffer(ctx.rng, dim * dim).reshape(dim, dim)
+    a = ctx.operand(dim * dim).reshape(dim, dim)
+    b = ctx.operand(dim * dim).reshape(dim, dim)
     c = ops.matmul(a, b)
     return KernelResult(checksum=float(c.sum()))
 
@@ -371,8 +427,8 @@ def _k_matmul_general(ctx, device, params):
                                    for d in triple):
             raise InvalidParameter(f"bad dimension triple {triple!r}")
         m, k, n = (int(d) for d in triple)
-        a = seeded_buffer(ctx.rng, m * k).reshape(m, k)
-        b = seeded_buffer(ctx.rng, k * n).reshape(k, n)
+        a = ctx.operand(m * k).reshape(m, k)
+        b = ctx.operand(k * n).reshape(k, n)
         c = ops.matmul(a, b)
         checksum += float(c.sum())
     return KernelResult(checksum=checksum)
@@ -386,7 +442,7 @@ def _k_fft(ctx, device, params):
     if not ops.is_power_of_two(span) or span < 2 or n % span:
         raise InvalidParameter(
             f"transform_dim must be a power of two >= 2 dividing data_size, got {span}")
-    data = seeded_buffer(ctx.rng, n) + 1j * seeded_buffer(ctx.rng, n)
+    data = ctx.operand(n) + 1j * ctx.operand(n)
     checksum = 0.0
     for chunk in data.reshape(n // span, span):
         checksum += float(np.abs(ops.fft(chunk)).sum())
@@ -414,8 +470,8 @@ def _k_rng(ctx, device, params):
 def _k_axpy(ctx, device, params):
     n = _positive_int(params, "data_size")
     a = params.get("a", 1.0)
-    x = seeded_buffer(ctx.rng, n)
-    y = seeded_buffer(ctx.rng, n)
+    x = ctx.operand(n)
+    y = ctx.operand(n)
     out = ops.axpy(a, x, y)
     return KernelResult(checksum=float(out.sum()))
 
@@ -423,7 +479,7 @@ def _k_axpy(ctx, device, params):
 def _k_scatter_add(ctx, device, params):
     x_size = _positive_int(params, "x_size")
     y_size = _positive_int(params, "y_size")
-    x = seeded_buffer(ctx.rng, x_size)
+    x = ctx.operand(x_size)
     idx = ctx.rng.integers(0, y_size, x_size)
     y = ops.scatter_add(x, idx, np.zeros(y_size))
     return KernelResult(checksum=float(y.sum()))
@@ -431,13 +487,13 @@ def _k_scatter_add(ctx, device, params):
 
 def _k_reduction(ctx, device, params):
     n = _positive_int(params, "data_size")
-    return KernelResult(checksum=ops.reduction(seeded_buffer(ctx.rng, n)))
+    return KernelResult(checksum=ops.reduction(ctx.operand(n)))
 
 
 def _k_inplace_compute(ctx, device, params):
     n = _positive_int(params, "data_size")
     functor = params["functor"]
-    y = ops.inplace_compute(functor, seeded_buffer(ctx.rng, n))
+    y = ops.inplace_compute(functor, ctx.operand(n))
     return KernelResult(checksum=float(y.sum()))
 
 
@@ -496,7 +552,7 @@ def _mpi_io(ctx, device, params, direction):
         ctx.scratch.staged_source(comm.size * size, name=path.name)
     else:
         ctx.scratch.staged_source(0, name=path.name)  # ensure file exists
-    comm.barrier(params.get("timeout"))
+    comm.barrier(ctx.rank_id, params.get("timeout"))
     offset = ctx.rank_id * size
     flags = os.O_RDONLY if direction == "read" else os.O_WRONLY
     buf = _byte_block(ctx) if direction == "read" else _ZERO_BLOCK
@@ -532,7 +588,7 @@ def _k_write_mpi(ctx, device, params):
 
 def _k_allreduce(ctx, device, params):
     n = _positive_int(params, "data_size")
-    data = seeded_buffer(ctx.rng, n)
+    data = ctx.operand(n)
     out = ctx.comm.allreduce(ctx.rank_id, data, params.get("timeout"))
     comm_bytes = n * ELEMENT_WIDTH * (ctx.comm.size - 1)  # ring model, per rank
     return KernelResult(bytes_communicated=comm_bytes, checksum=float(out.sum()))
@@ -540,7 +596,7 @@ def _k_allreduce(ctx, device, params):
 
 def _k_allgather(ctx, device, params):
     n = _positive_int(params, "data_size")
-    data = seeded_buffer(ctx.rng, n)
+    data = ctx.operand(n)
     out = ctx.comm.allgather(ctx.rank_id, data, params.get("timeout"))
     comm_bytes = n * ELEMENT_WIDTH * (ctx.comm.size - 1)
     return KernelResult(bytes_communicated=comm_bytes, checksum=float(out.sum()))
@@ -564,7 +620,7 @@ def _data_copy(ctx, device, params, direction):
     bandwidth = params.get("bandwidth", ctx.copy_bandwidth)
     if not isinstance(bandwidth, (int, float)) or bandwidth <= 0:
         raise InvalidParameter(f"bandwidth must be > 0, got {bandwidth!r}")
-    time.sleep(size / bandwidth)
+    ctx.dwell(size / bandwidth)
     return KernelResult(checksum=float(buf.sum(dtype=np.float64)))
 
 

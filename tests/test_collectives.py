@@ -1,6 +1,7 @@
 """Collective semantics: allreduce/allgather against gather-then-combine
 oracles, barrier failure modes, and communicated-byte accounting."""
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -136,3 +137,23 @@ def test_collective_abort_on_rank_failure(isolated_scratch):
         ]})
     with pytest.raises(KernelFailure):
         run_task(spec, collective_timeout=2.0)
+
+
+def test_accelerator_slowdown_does_not_scale_collective_wait():
+    # a slowed rank must not stretch its wait for the other rank, or each
+    # rank's slowed wait feeds the next allreduce until the barrier times out
+    accel = {"kind": "accelerator", "slowdown_factor": 10.0}
+    spec = parse_task_spec({
+        "name": "gpu-coll", "category": "c", "num_ranks": 2, "gpus_per_rank": 1,
+        "program": [{"loop": True, "count": 6, "body": [
+            {"kernel": "matMulGeneral",
+             "params": {"dim_list": [[64, 64, 64]], "device": accel}},
+            {"kernel": "MPIallReduce", "params": {"data_size": 1000, "device": accel}},
+        ]}]})
+    sink = MetricsSink()
+    t0 = time.perf_counter()
+    run_task(spec, sink=sink, collective_timeout=10)
+    assert time.perf_counter() - t0 < 5.0
+    waits = [e["wall_time"] for e in sink.events
+             if e.get("kind") == "kernel" and e["kernel"] == "MPIallReduce"]
+    assert len(waits) == 12 and max(waits) < 1.0

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wfmini import ops
+from wfmini import kernels, ops
 from wfmini.errors import (
     CommunicatorRequired,
     DuplicateKernel,
@@ -33,6 +33,8 @@ from wfmini.kernels import (
     register_kernel,
     seeded_buffer,
 )
+from wfmini.tasks import parse_task_spec, run_task
+from wfmini.trace import MetricsSink
 
 
 def ctx_with(seed=42, **kw):
@@ -262,6 +264,49 @@ def test_seeded_buffer_tiles_deterministically():
     assert u8.dtype == np.uint8 and u8.size == 100
 
 
+def count_draws(monkeypatch):
+    """Count the calls of kernels.seeded_buffer made from here on."""
+    calls = []
+    draw = kernels.seeded_buffer
+
+    def counted(rng, n, *a, **kw):
+        calls.append(n)
+        return draw(rng, n, *a, **kw)
+
+    monkeypatch.setattr(kernels, "seeded_buffer", counted)
+    return calls
+
+
+def test_lane_draws_operands_once_per_shape(monkeypatch):
+    calls = count_draws(monkeypatch)
+    spec = parse_task_spec({
+        "name": "memo", "category": "c",
+        "program": [{"loop": True, "count": 5, "body": [
+            {"kernel": "axpy", "params": {"data_size": 10_000}}]}]})
+    sink = MetricsSink()
+    run_task(spec, sink=sink)
+    sums = [e["checksum"] for e in sink.events if e.get("kind") == "kernel"]
+    assert calls == [10_000, 10_000]  # x and y, drawn on the first call only
+    assert len(sums) == 5 and len(set(sums)) == 1
+
+
+def test_repetitions_reuse_operands(monkeypatch):
+    calls = count_draws(monkeypatch)
+    run("axpy", data_size=10_000, repetitions=3)
+    assert len(calls) == 2
+
+
+def test_operands_are_read_only():
+    name = "writesOperand"
+    if name not in catalog_names():
+        def scribble(ctx, device, params):
+            ctx.operand(8)[0] = 1.0
+            return KernelResult()
+        register_kernel(name, scribble)
+    with pytest.raises(ValueError):
+        run(name)
+
+
 # --------------------------------------------------------------------------
 # file I/O byte exactness
 
@@ -373,6 +418,32 @@ def test_data_copy_bandwidth_window(isolated_scratch):
     expected = size / bw
     assert 0.5 * expected <= elapsed <= 3.0 * expected
     assert res.checksum > 0
+
+
+class FakeTime:
+    """Stands in for kernels.time: every sleep oversleeps by 1 ms."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def perf_counter(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds + 1e-3
+
+
+def test_dwell_credits_oversleep_to_the_next_dwell(monkeypatch):
+    fake = FakeTime()
+    monkeypatch.setattr(kernels, "time", fake)
+    ctx = ctx_with(copy_bandwidth=1e6)
+    for _ in range(10):
+        execute_kernel(KernelCall("dataCopyH2D", {"data_size": 2000}), ctx=ctx)
+    assert fake.sleeps[0] == pytest.approx(2e-3)
+    assert fake.sleeps[1:] == pytest.approx([1e-3] * 9)
+    assert 20e-3 <= fake.now <= 21e-3 + 1e-12
 
 
 def test_data_copy_round_trip_checksum(isolated_scratch):
