@@ -165,12 +165,16 @@ def cmd_kernels(args):
             params[key] = json.loads(value)
         except json.JSONDecodeError:
             params[key] = value
-    ctx = KernelContext(scratch=Scratch(args.scratch) if args.scratch else None)
+    scratch = Scratch(args.scratch)
+    ctx = KernelContext(scratch=scratch)
     times = []
-    for _ in range(args.trials):
-        t0 = time.perf_counter()
-        execute_kernel(KernelCall(args.name, dict(params)), ctx=ctx)
-        times.append(time.perf_counter() - t0)
+    try:
+        for _ in range(args.trials):
+            t0 = time.perf_counter()
+            execute_kernel(KernelCall(args.name, dict(params)), ctx=ctx)
+            times.append(time.perf_counter() - t0)
+    finally:
+        scratch.cleanup()
     print(f"{args.name} {params}: median {statistics.median(times) * 1e3:.3f} ms "
           f"over {args.trials} trials "
           f"(min {min(times) * 1e3:.3f}, max {max(times) * 1e3:.3f})")

@@ -75,12 +75,6 @@ class WorkflowSpec:
     def task_names(self):
         return [t.name for t in self.tasks]
 
-    def predecessors(self, name):
-        return [p for p, s in self.edges if s == name]
-
-    def successors(self, name):
-        return [s for p, s in self.edges if p == name]
-
     def to_dict(self):
         return {"execution_model": self.execution_model, "phases": self.phases,
                 "tasks": [t.to_dict() for t in self.tasks],
@@ -204,7 +198,7 @@ class _SlotBank:
 def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
             scratch: Scratch | None = None,
             copy_bandwidth: float = DEFAULT_COPY_BANDWIDTH,
-            collective_timeout: float = 30.0, run_id: str | None = None) -> RunTrace:
+            run_id: str | None = None) -> RunTrace:
     """Run every task exactly once, honoring dependencies and slot
     exclusivity. A task failure aborts the run (TaskFailed)."""
     validate_dag(spec)
@@ -239,8 +233,7 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
             try:
                 run_task(task_spec, assignment=slots, sink=sink, seed=seed,
                          clock=clock, scratch=scratch,
-                         copy_bandwidth=copy_bandwidth,
-                         collective_timeout=collective_timeout)
+                         copy_bandwidth=copy_bandwidth)
                 done_q.put((task_spec.name, None))
             except Exception as e:
                 done_q.put((task_spec.name, e))

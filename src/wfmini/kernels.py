@@ -13,7 +13,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +57,6 @@ class Device:
 
     @classmethod
     def parse(cls, value):
-        if isinstance(value, Device):
-            return value
         if isinstance(value, str):
             return cls(kind=value)
         if isinstance(value, dict):
@@ -198,10 +196,12 @@ class Scratch:
 
 @dataclass
 class KernelContext:
-    """Per-rank execution context handed to every kernel.
+    """Per-rank execution context handed to every kernel: one rank lane.
 
-    The default scratch manager and the work block are built on first use,
-    so a context that runs only compute kernels touches no file system."""
+    The host/device pools, work block, operand memo and dwell clock are
+    lane state, kept for the context's life. The default scratch manager
+    and the work block are built on first use, so a context that runs only
+    compute kernels touches no file system."""
 
     rank_id: int = 0
     comm: Communicator | None = None
@@ -211,7 +211,8 @@ class KernelContext:
     task_name: str = "task"
     clock: callable = time.perf_counter
     copy_bandwidth: float = DEFAULT_COPY_BANDWIDTH
-    pools: dict = None
+    pools: dict = field(default_factory=lambda: {"host": {}, "device": {}},
+                        init=False, repr=False, compare=False)
     _block: np.ndarray | None = field(default=None, init=False, repr=False,
                                       compare=False)
     _operands: dict = field(default_factory=dict, init=False, repr=False,
@@ -222,8 +223,6 @@ class KernelContext:
     def __post_init__(self):
         if self.rng is None:
             self.rng = np.random.default_rng(int(os.environ.get(SEED_ENV, "0")))
-        if self.pools is None:
-            self.pools = {"host": {}, "device": {}}
 
     def work_block(self) -> np.ndarray:
         """The lane's reusable float64 block of WORK_BLOCK elements: large
@@ -324,23 +323,17 @@ def _waited(ctx):
     return ctx.comm.waited[ctx.rank_id] if ctx.comm is not None else 0.0
 
 
-def execute_kernel(call: KernelCall, comm: Communicator | None = None,
-                   sink: MetricsSink | None = None,
-                   ctx: KernelContext | None = None) -> KernelResult:
-    """Run one catalog kernel `repetitions` times and aggregate the result.
+def execute_kernel(call: KernelCall, ctx: KernelContext | None = None) -> KernelResult:
+    """Run one catalog kernel `repetitions` times on the lane `ctx` and
+    aggregate the result.
 
-    One kernel event is appended to the sink (the ctx's sink if the explicit
-    one is omitted).
+    One kernel event is appended to the ctx's sink, if it has one.
     """
     kdef = kernel_def(call.kernel_name)
     if ctx is None:
-        ctx = KernelContext(comm=comm)
-    elif comm is not None:
-        ctx = replace(ctx, comm=comm, scratch=ctx._scratch)
+        ctx = KernelContext()
     if kdef.needs_comm and ctx.comm is None:
         raise CommunicatorRequired(f"{kdef.name} is a collective and needs a communicator")
-    if not kdef.needs_comm and comm is not None:
-        raise CommunicatorRequired(f"{kdef.name} does not take a communicator")
 
     params = dict(call.params)
     reps = params.pop("repetitions", 1)
@@ -351,7 +344,6 @@ def execute_kernel(call: KernelCall, comm: Communicator | None = None,
             raise MissingParameter(f"{kdef.name} requires parameter {key!r}")
     device = Device.parse(params.pop("device")) if "device" in params else HOST
 
-    sink = sink or ctx.sink
     agg = KernelResult()
     t_start = ctx.clock()
     wall = 0.0
@@ -376,8 +368,8 @@ def execute_kernel(call: KernelCall, comm: Communicator | None = None,
         agg.bytes_communicated += part.bytes_communicated
         agg.checksum = part.checksum
     agg.wall_time = wall
-    if sink is not None:
-        sink.append({
+    if ctx.sink is not None:
+        ctx.sink.append({
             "kind": "kernel", "task": ctx.task_name, "rank": ctx.rank_id,
             "kernel": kdef.name, "t_start": t_start, "t_end": ctx.clock(),
             "wall_time": wall, "bytes_read": agg.bytes_read,

@@ -191,7 +191,3 @@ def reproducibility_stats(summaries: list) -> VariationReport:
         per_stage[stage] = _stats(durations)
     return VariationReport(samples=len(summaries), per_metric=per_metric,
                            per_stage=per_stage)
-
-
-def format_mean_std(stats: dict, digits: int = 1) -> str:
-    return f"{stats['mean']:.{digits}f}±{stats['std']:.{digits}f}"

@@ -125,7 +125,7 @@ def _uses_accelerator(program):
         else:
             dev = step.kernel.params.get("device")
             kind = dev.get("kind") if isinstance(dev, dict) else dev
-            if kind == "accelerator" or getattr(dev, "kind", None) == "accelerator":
+            if kind == "accelerator":
                 return True
     return False
 
@@ -159,13 +159,18 @@ def run_task(spec: TaskSpec, assignment=None, sink: MetricsSink | None = None,
              collective_timeout: float = 30.0) -> TaskRecord:
     """Execute one task: all ranks run the identical program concurrently.
 
+    Each rank is one lane, a KernelContext on one thread: the calling thread
+    runs rank 0 and one thread is started for each further rank.
+
     Raises KernelFailure if any rank fails; the failed record is still
     appended to the sink. `assignment` is the slot-id list the engine granted
-    (informational here; exclusivity is the engine's job).
+    (informational here; exclusivity is the engine's job). A scratch made
+    here is cleaned up before returning.
     """
     if sink is None:
         sink = MetricsSink()
-    if scratch is None:
+    own_scratch = scratch is None
+    if own_scratch:
         scratch = Scratch()
     if clock is None:
         t0 = time.perf_counter()
@@ -190,9 +195,10 @@ def run_task(spec: TaskSpec, assignment=None, sink: MetricsSink | None = None,
     start = clock()
     sink.append({"kind": "task_start", "task": spec.name, "t": start})
     threads = [threading.Thread(target=lane, args=(r,), name=f"{spec.name}-r{r}")
-               for r in range(spec.num_ranks)]
+               for r in range(1, spec.num_ranks)]
     for t in threads:
         t.start()
+    lane(0)
     for t in threads:
         t.join()
     end = clock()
@@ -205,6 +211,8 @@ def run_task(spec: TaskSpec, assignment=None, sink: MetricsSink | None = None,
         bytes_written=sum(t["bytes_written"] for t in totals),
         status=status, category=spec.category)
     sink.add_record(record)
+    if own_scratch:
+        scratch.cleanup()
     if errors:
         rank_id, err = errors[0]
         raise KernelFailure(f"task {spec.name} rank {rank_id}: {err}") from err

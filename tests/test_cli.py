@@ -46,6 +46,14 @@ def test_kernels_bench(capsys):
     assert "RNG" in capsys.readouterr().out
 
 
+def test_kernels_bench_cleans_up_scratch(isolated_scratch):
+    argv = ["kernels", "bench", "--name", "writeNonMPI",
+            "--param", "data_size=1000", "--trials", "3"]
+    assert main(argv) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    assert list(isolated_scratch.glob("*.dat")) == []
+
+
 def test_kernels_bench_needs_name():
     assert main(["kernels", "bench"]) == EXIT_USER
 

@@ -138,19 +138,21 @@ def test_critical_path_diamond():
 def longest_path_oracle(spec, durations):
     """Enumerate every source-to-sink path (small graphs only)."""
     best = 0.0
-    names = spec.task_names
+    succs = {n: [] for n in spec.task_names}
+    for p, s in spec.edges:
+        succs[p].append(s)
+    sources = set(succs) - {s for _, s in spec.edges}
 
     def walk(node, total):
         nonlocal best
         total += durations[node]
-        succ = spec.successors(node)
-        if not succ:
+        if not succs[node]:
             best = max(best, total)
-        for s in succ:
+        for s in succs[node]:
             walk(s, total)
 
-    for n in names:
-        if not spec.predecessors(n):
+    for n in spec.task_names:
+        if n in sources:
             walk(n, 0.0)
     return best
 

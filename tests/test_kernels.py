@@ -515,9 +515,6 @@ def test_unknown_kernel_and_missing_params():
 def test_communicator_rules():
     with pytest.raises(CommunicatorRequired):
         run("MPIallReduce", data_size=4)
-    from wfmini.kernels import Communicator
-    with pytest.raises(CommunicatorRequired):
-        execute_kernel(KernelCall("RNG", {"data_size": 4}), comm=Communicator(1))
 
 
 def test_determinism_same_seed():

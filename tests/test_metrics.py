@@ -15,7 +15,6 @@ from wfmini.errors import (
 from wfmini.metrics import (
     MetricsSummary,
     compute_ratios,
-    format_mean_std,
     io_timeline,
     reproducibility_stats,
     summarize,
@@ -147,10 +146,6 @@ def test_variation_stats_match_two_pass_oracle():
 def test_variation_needs_samples():
     with pytest.raises(InsufficientSamples):
         reproducibility_stats([summary(1.0, 1, 1)])
-
-
-def test_format_mean_std():
-    assert format_mean_std({"mean": 10.25, "std": 0.5}) == "10.2±0.5"
 
 
 def test_trace_jsonl_round_trip(tmp_path):

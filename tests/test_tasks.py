@@ -1,7 +1,10 @@
 """Task runtime: spec parsing, SPMD execution, seeding, and parameter
 scaling/addressing."""
+import threading
+
 import pytest
 
+from wfmini.engine import execute, load_workflow
 from wfmini.errors import KernelFailure, SchemaError, UnknownKernel, UnknownParameter
 from wfmini.tasks import (
     get_param,
@@ -11,7 +14,7 @@ from wfmini.tasks import (
     scale_task,
     task_seed,
 )
-from wfmini.trace import MetricsSink
+from wfmini.trace import MetricsSink, ResourcePool
 
 MIB = 2 ** 20
 
@@ -104,6 +107,47 @@ def test_failed_task_records_failure():
     with pytest.raises(KernelFailure):
         run_task(spec, sink=sink)
     assert sink.records[0].status == "failed"
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    return started
+
+
+@pytest.mark.parametrize("ranks", [1, 3])
+def test_run_task_runs_rank_zero_on_the_calling_thread(thread_starts, ranks):
+    sink = MetricsSink()
+    spec = parse_task_spec(simple_doc(num_ranks=ranks, program=[
+        {"kernel": "MPIallReduce", "params": {"data_size": 4}}]))
+    run_task(spec, sink=sink)
+    assert len(thread_starts) == ranks - 1
+    assert sorted(e["rank"] for e in sink.events if e["kind"] == "kernel") == \
+        list(range(ranks))
+
+
+def test_execute_starts_one_thread_per_rank(thread_starts):
+    spec = load_workflow({"tasks": [
+        simple_doc(name="a"), simple_doc(name="b", num_ranks=2), simple_doc(name="c")],
+        "edges": [["a", "b"]]})
+    execute(spec, ResourcePool(1, 2))
+    assert len(thread_starts) == sum(t.num_ranks for t in spec.tasks) == 4
+
+
+def test_run_task_cleans_up_its_own_scratch(isolated_scratch):
+    spec = parse_task_spec(simple_doc(name="w", program=[
+        {"kernel": "writeNonMPI", "params": {"data_size": 1000}}]))
+    for _ in range(2):
+        assert run_task(spec).bytes_written == 1000
+    assert list(isolated_scratch.glob("*.dat")) == []
 
 
 def test_seeds_are_salted():
