@@ -203,6 +203,10 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
     exclusivity. A task failure aborts the run (TaskFailed)."""
     validate_dag(spec)
     for t in spec.tasks:
+        # the scheduling pass stops when no cpu slot is free, so a task
+        # taking none could be left unstarted
+        if t.num_ranks < 1 or t.cpus_per_rank < 1:
+            raise SchemaError(f"task {t.name}: num_ranks and cpus_per_rank must be >= 1")
         if (t.num_ranks * t.cpus_per_rank > pool.num_cpu_slots
                 or t.num_ranks * t.gpus_per_rank > pool.num_gpu_slots):
             raise InsufficientPool(
@@ -243,7 +247,9 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
         if failure is None:
             # one pass suffices: taking slots never makes a skipped task fit
             for name in list(ready):
-                if serial and running:
+                # every task needs a cpu slot, so with none free nothing
+                # further in the list can fit
+                if (serial and running) or not bank.free["cpu"]:
                     break
                 task_spec = by_name[name]
                 if not bank.fits(task_spec):

@@ -168,6 +168,7 @@ class Scratch:
             if current < size:
                 with path.open("ab") as f:
                     f.truncate(size)
+            self._written.add(path)
         return path
 
     def write_path(self, task_name, rank_id):

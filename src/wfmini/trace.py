@@ -2,14 +2,28 @@
 
 Events are plain dicts with a "kind" discriminator so they serialize
 directly to JSON Lines. All timestamps are seconds relative to run start
-(monotonic clock).
+(monotonic clock). The first line is a header carrying the run id, the
+pool and the trace's schema version; a header without one is schema 0,
+which has the same layout.
 """
 from __future__ import annotations
 
 import json
 import threading
 from dataclasses import dataclass, field, asdict
+from itertools import islice
 from pathlib import Path
+
+SCHEMA = 1
+KNOWN_SCHEMAS = (0, 1)
+# Lines decoded per json.loads call. The decoder keeps one object per
+# distinct key within a call, so a batch of events shares its key strings
+# where a call per line gave every event its own copies. A single call for
+# the whole file would hold the text twice at the peak; a batch of 256 lines
+# keeps that copy to a few tens of KB.
+READ_BATCH = 256
+# event values that repeat across a run, shared through one dict per read
+SHARED_VALUES = ("kind", "task", "kernel")
 
 
 @dataclass
@@ -106,7 +120,8 @@ class RunTrace:
     def write_jsonl(self, path):
         path = Path(path)
         with path.open("w", encoding="utf-8") as f:
-            header = {"kind": "run", "run_id": self.run_id, "pool": self.pool.to_dict()}
+            header = {"kind": "run", "schema": SCHEMA, "run_id": self.run_id,
+                      "pool": self.pool.to_dict()}
             f.write(json.dumps(header) + "\n")
             for ev in self.events:
                 f.write(json.dumps(ev) + "\n")
@@ -116,21 +131,31 @@ class RunTrace:
     @classmethod
     def read_jsonl(cls, path):
         run_id, pool, events, records = "run", None, [], []
+        shared = {}
         with Path(path).open("r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                kind = obj.get("kind")
-                if kind == "run":
-                    run_id = obj["run_id"]
-                    pool = ResourcePool.from_dict(obj["pool"])
-                elif kind == "record":
-                    obj.pop("kind")
-                    records.append(TaskRecord.from_dict(obj))
-                else:
-                    events.append(obj)
+            lines = (line for line in f if not line.isspace())
+            while batch := list(islice(lines, READ_BATCH)):
+                objs = json.loads("[" + ",".join(batch) + "]")
+                if len(objs) != len(batch):
+                    raise ValueError(f"{path}: {len(batch)} lines hold {len(objs)} "
+                                     "JSON values; expected one per line")
+                for obj in objs:
+                    kind = obj.get("kind")
+                    if kind == "run":
+                        schema = obj.get("schema", 0)
+                        if schema not in KNOWN_SCHEMAS:
+                            raise ValueError(f"{path}: unknown trace schema {schema!r}")
+                        run_id = obj["run_id"]
+                        pool = ResourcePool.from_dict(obj["pool"])
+                    elif kind == "record":
+                        obj.pop("kind")
+                        records.append(TaskRecord.from_dict(obj))
+                    else:
+                        for key in SHARED_VALUES:
+                            value = obj.get(key)
+                            if value is not None:
+                                obj[key] = shared.setdefault(value, value)
+                        events.append(obj)
         if pool is None:
             raise ValueError(f"{path}: missing run header line")
         return cls(run_id=run_id, pool=pool, events=events, records=records)

@@ -36,16 +36,22 @@ def namespaces():
     return [dict(vars(owner)) for owner in OWNERS]
 
 
-def traced_run():
+def traced_run(tmp_path):
+    """A run as a benchmark sample makes it: execute, then write, re-read and
+    summarize the trace."""
     spec = engine.load_workflow(WORKFLOW)
     rec = spans.Recorder()
+    path = tmp_path / "trace.jsonl"
     with spans.tracing(rec):
         run = engine.execute(spec, ResourcePool(1, 2), seed=3)
-    return spec, run, rec
+        run.write_jsonl(path)
+        back = trace.RunTrace.read_jsonl(path)
+        metrics.summarize(back)
+    return spec, run, rec, back
 
 
-def test_spans_nest_execute_task_kernel():
-    _, run, rec = traced_run()
+def test_spans_nest_execute_task_kernel(tmp_path):
+    _, run, rec, _ = traced_run(tmp_path)
     by_id = {s.sid: s for s in rec.spans}
     named = {}
     for s in rec.spans:
@@ -60,8 +66,16 @@ def test_spans_nest_execute_task_kernel():
         assert t.parent == execute.sid
 
 
-def test_layer_metrics_cover_every_per_layer_key():
-    spec, run, rec = traced_run()
+def test_trace_layer_spans_once_per_run(tmp_path):
+    _, run, rec, back = traced_run(tmp_path)
+    names = [s.name for s in rec.spans]
+    for name in ("trace.write", "trace.read", "metrics.summarize"):
+        assert names.count(name) == 1, name
+    assert back.events == run.events
+
+
+def test_layer_metrics_cover_every_per_layer_key(tmp_path):
+    spec, run, rec, _ = traced_run(tmp_path)
     out = layers.span_metrics(rec.spans, rec.counts)
     out.update(layers.schedule_metrics(spec, run))
     # perfbench/run.py adds the other two from the written trace and the
@@ -69,9 +83,9 @@ def test_layer_metrics_cover_every_per_layer_key():
     assert set(out) == set(layers.PER_LAYER) - {"trace.bytes", "bench.trace_overhead_s"}
 
 
-def test_tracing_restores_patched_attributes():
+def test_tracing_restores_patched_attributes(tmp_path):
     before = namespaces()
-    traced_run()
+    traced_run(tmp_path)
     after = namespaces()
     for owner, old, new in zip(OWNERS, before, after):
         assert new.keys() == old.keys(), owner

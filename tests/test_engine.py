@@ -1,10 +1,12 @@
 """Workflow engine: DAG validation, critical path against a path-enumeration
 oracle, execution-model semantics, slot accounting, and failure handling."""
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wfmini import engine
 from wfmini.engine import (
     WorkflowSpec,
     async_overlap,
@@ -223,6 +225,32 @@ def test_insufficient_pool_rejected():
     spec = wf(["big"], [], big={"ranks": 4})
     with pytest.raises(InsufficientPool):
         execute(spec, ResourcePool(1, 2), seed=0)
+
+
+def test_task_without_cpus_rejected():
+    spec = wf(["a"], [])
+    spec = replace(spec, tasks=[replace(spec.tasks[0], cpus_per_rank=0)])
+    with pytest.raises(SchemaError):
+        execute(spec, ResourcePool(1, 2), seed=0)
+
+
+def test_scheduler_stops_its_pass_when_no_cpu_is_free(monkeypatch):
+    fits = engine._SlotBank.fits
+    calls = []
+
+    def counted(self, spec):
+        calls.append(spec.name)
+        return fits(self, spec)
+
+    monkeypatch.setattr(engine._SlotBank, "fits", counted)
+    leaves = [f"t{i}" for i in range(200)]
+    tiny = [{"kernel": "reduction", "params": {"data_size": 8}}]
+    spec = load_workflow({"tasks": [task_doc(n, program=tiny) for n in ["fork"] + leaves],
+                          "edges": [["fork", n] for n in leaves]})
+    trace = execute(spec, ResourcePool(1, 2), seed=0)
+    assert len(trace.records) == 201
+    # trying every ready task on every completion made 19 902 calls here
+    assert len(calls) <= 2 * 201
 
 
 def test_task_failure_aborts_run():

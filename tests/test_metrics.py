@@ -1,8 +1,11 @@
 """Metric derivation: summaries from synthetic traces, published-ratio
 arithmetic, variation statistics against a two-pass oracle, and trace
 serialization."""
+import json
 import math
 import statistics
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +23,8 @@ from wfmini.metrics import (
     summarize,
     utilization_timeline,
 )
-from wfmini.trace import ResourcePool, RunTrace, TaskRecord
+from wfmini.engine import execute, load_workflow
+from wfmini.trace import READ_BATCH, SCHEMA, ResourcePool, RunTrace, TaskRecord
 
 
 def make_trace(records, events=None, pool=None):
@@ -163,6 +167,102 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert back.task_record("a").task_name == "a"
     with pytest.raises(KeyError):
         back.task_record("ghost")
+
+
+def kernel_events(n):
+    return [{"kind": "kernel", "task": f"sim_{i % 7}", "rank": i % 2,
+             "kernel": ("RNG", "axpy", "dataCopyH2D")[i % 3], "t_start": i * 1.2345e-3,
+             "t_end": i * 1.2345e-3 + 7.7e-4, "wall_time": 7.654321e-4,
+             "bytes_read": 4096 * (i % 5), "bytes_written": 0, "bytes_communicated": 0,
+             "checksum": 12345.678901 + i} for i in range(n)]
+
+
+def test_trace_jsonl_round_trip_of_a_run(tmp_path):
+    spec = load_workflow({"tasks": [
+        {"name": "a", "program": [{"kernel": "RNG", "params": {"data_size": 64}},
+                                  {"kernel": "writeNonMPI", "params": {"data_size": 256}}]},
+        {"name": "b", "num_ranks": 2, "program": [
+            {"kernel": "MPIallReduce", "params": {"data_size": 8}}]}],
+        "edges": [["a", "b"]]})
+    run = execute(spec, ResourcePool(1, 2), seed=5)
+    path = tmp_path / "trace.jsonl"
+    run.write_jsonl(path)
+    back = RunTrace.read_jsonl(path)
+    assert back.events == run.events
+    # slots are tuples in memory and JSON arrays on disk
+    assert back.records == [replace(r, slots_used=[list(s) for s in r.slots_used])
+                            for r in run.records]
+    # one batch: every event's key strings and repeated values are shared
+    keys = {}
+    for e in back.events:
+        for k in e:
+            assert keys.setdefault(k, k) is k
+    values = {}
+    for e in back.events:
+        for k in ("kind", "task", "kernel"):
+            if k in e:
+                assert values.setdefault(e[k], e[k]) is e[k]
+
+
+def test_read_jsonl_batches_blank_lines_and_malformed_input(tmp_path):
+    events = kernel_events(2 * READ_BATCH + 3)
+    trace = make_trace(records=[record("sim_0", 0.0, 1.0, read=5)], events=events)
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path)
+    lines = path.read_text().splitlines(keepends=True)
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + "".join(line + "  \t\n" for line in lines) + "\n")
+    for p in (path, spaced):
+        back = RunTrace.read_jsonl(p)
+        assert back.events == events
+        assert back.records == trace.records
+        # a key object per batch, not per event
+        assert len({id(k) for e in back.events for k in e}) <= 3 * len(events[0])
+
+    headless = tmp_path / "headless.jsonl"
+    headless.write_text("".join(lines[1:]))
+    with pytest.raises(ValueError, match="missing run header"):
+        RunTrace.read_jsonl(headless)
+    joined = tmp_path / "joined.jsonl"
+    joined.write_text("".join(lines[:3]) + lines[3].rstrip("\n") + "," + "".join(lines[4:]))
+    with pytest.raises(ValueError):
+        RunTrace.read_jsonl(joined)
+
+
+def test_trace_schema_versions(tmp_path):
+    trace = make_trace(records=[], events=kernel_events(2))
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path)
+    header, *rest = path.read_text().splitlines(keepends=True)
+    assert json.loads(header)["schema"] == SCHEMA == 1
+    for schema, readable in ((None, True), (1, True), (2, False), ("1", False)):
+        doc = json.loads(header)
+        if schema is None:
+            del doc["schema"]  # schema 0: the same layout without the field
+        else:
+            doc["schema"] = schema
+        path.write_text(json.dumps(doc) + "\n" + "".join(rest))
+        if readable:
+            assert RunTrace.read_jsonl(path).events == trace.events
+        else:
+            with pytest.raises(ValueError, match="unknown trace schema"):
+                RunTrace.read_jsonl(path)
+
+
+def test_read_jsonl_memory_per_event(tmp_path):
+    n = 2000
+    path = tmp_path / "trace.jsonl"
+    make_trace(records=[], events=kernel_events(n)).write_jsonl(path)
+    tracemalloc.start()
+    try:
+        back = RunTrace.read_jsonl(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back.events) == n
+    # a line-at-a-time decode peaks near 1400 B per event: private copies of
+    # the 11 keys and of the repeated names
+    assert peak / n < 800
 
 
 def test_summary_round_trip():

@@ -147,7 +147,11 @@ def test_run_task_cleans_up_its_own_scratch(isolated_scratch):
         {"kernel": "writeNonMPI", "params": {"data_size": 1000}}]))
     for _ in range(2):
         assert run_task(spec).bytes_written == 1000
-    assert list(isolated_scratch.glob("*.dat")) == []
+    # the staged read source goes too
+    spec = parse_task_spec(simple_doc(name="r", program=[
+        {"kernel": "readNonMPI", "params": {"data_size": 1000}}]))
+    assert run_task(spec).bytes_read == 1000
+    assert list(isolated_scratch.iterdir()) == []
 
 
 def test_seeds_are_salted():
