@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
+from operator import getitem, setitem
 from pathlib import Path
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .engine import WorkflowConfig, WorkflowSpec, load_workflow
 from .metrics import MetricsSummary
-from .tasks import _walk, scale_values
+from .tasks import _walk, scale_values, walk_program
 
 DAMPING = 0.8
 STEP_CLIP = (0.1, 10.0)
@@ -80,77 +81,30 @@ class Attribution:
     knob: str        # config knob this parameter tracks
 
 
-def _scan_program(steps, prefix, category, out):
-    for i, step in enumerate(steps):
-        here = f"{prefix}.{i}"
-        if "loop" in step or "body" in step:
-            body = step.get("body", [])
-            if _compute_only(body):
-                out.append(Attribution(path=f"{here}.count", metric="makespan",
-                                       category=category, knob="epochs"))
-            _scan_program(body, f"{here}.body", category, out)
-        else:
-            kname = step.get("kernel")
-            if kname in IO_READ_KERNELS:
-                out.append(Attribution(path=f"{here}.params.data_size",
-                                       metric="read_bytes", category=category,
-                                       knob="data_scale"))
-            elif kname in IO_WRITE_KERNELS:
-                out.append(Attribution(path=f"{here}.params.data_size",
-                                       metric="write_bytes", category=category,
-                                       knob="data_scale"))
-
-
-def _compute_only(body):
-    for step in body:
-        if "loop" in step or "body" in step:
-            if not _compute_only(step.get("body", [])):
-                return False
-        elif step.get("kernel") in IO_KERNELS:
-            return False
-    return bool(body)
-
-
 def default_attribution(spec: WorkflowSpec) -> list:
     """Derive the parameter -> metric attribution from a workflow spec."""
     out = []
     for task in spec.tasks:
-        doc = task.to_dict()
-        _scan_program(doc["program"], f"tasks.{task.name}.program",
-                      task.category, out)
+        for path, step in walk_program(task.program, f"tasks.{task.name}.program"):
+            if step.kind == "loop":
+                names = [s.kernel.kernel_name for _, s in walk_program(step.body)
+                         if s.kind == "kernel"]
+                if names and not IO_KERNELS.intersection(names):
+                    out.append(Attribution(path=f"{path}.count", metric="makespan",
+                                           category=task.category, knob="epochs"))
+                continue
+            name = step.kernel.kernel_name
+            if name in IO_READ_KERNELS or name in IO_WRITE_KERNELS:
+                metric = "read_bytes" if name in IO_READ_KERNELS else "write_bytes"
+                out.append(Attribution(path=f"{path}.params.data_size", metric=metric,
+                                       category=task.category, knob="data_scale"))
     return out
 
 
-def _task_doc(doc, path):
-    """(task document, rest of the path) for a path tasks.<name>.<rest>."""
-    parts = path.split(".", 2)
-    if len(parts) < 3 or parts[0] != "tasks":
-        raise InvalidParameter(f"workflow parameter path must start with tasks.<name>.: {path}")
-    for tdoc in doc["tasks"]:
-        if tdoc["name"] == parts[1]:
-            return tdoc, parts[2]
-    raise InvalidParameter(f"no task {parts[1]!r} for path {path}")
-
-
-def _param_slot(doc, path):
-    """(container, key) of the value a workflow-scoped path addresses."""
-    tdoc, rest = _task_doc(doc, path)
-    return _walk(tdoc, rest.split("."), path)
-
-
-def _get_workflow_param(doc, path):
-    node, key = _param_slot(doc, path)
-    return node[key]
-
-
-def _set_workflow_param(doc, path, value):
-    node, key = _param_slot(doc, path)
-    node[key] = value
-
-
-def _scale_workflow_param(doc, path, factor):
-    tdoc, rest = _task_doc(doc, path)
-    scale_values(tdoc, {rest: factor}, path_prefix=f"{tdoc['name']}:")
+def _by_name(doc):
+    """A view of a workflow document in which tasks.<name>.<rest> paths
+    resolve; it shares the task dicts, so edits through it edit `doc`."""
+    return {"tasks": {tdoc["name"]: tdoc for tdoc in doc["tasks"]}}
 
 
 def measured_by_category(summary: MetricsSummary) -> dict:
@@ -231,6 +185,7 @@ def calibrate(spec: WorkflowSpec, target: TargetMetrics, ratio: float,
     base_config = base_config or WorkflowConfig()
 
     doc = spec.to_dict()
+    view = _by_name(doc)
     paths = {}
     for attr in attribution:
         paths.setdefault((attr.category, attr.metric), []).append(attr.path)
@@ -265,9 +220,9 @@ def calibrate(spec: WorkflowSpec, target: TargetMetrics, ratio: float,
                 # back off to the accepted values and damp harder
                 damping[key] *= 0.5
                 for path, value in accepted[key][2].items():
-                    _set_workflow_param(doc, path, value)
+                    setitem(*_walk(view, path), value)
             else:
-                values = {p: _get_workflow_param(doc, p) for p in paths[key]}
+                values = {p: getitem(*_walk(view, p)) for p in paths[key]}
                 accepted[key] = (residual, got, values)
             got = accepted[key][1]
             if got <= 0:
@@ -275,13 +230,14 @@ def calibrate(spec: WorkflowSpec, target: TargetMetrics, ratio: float,
             step = (goal / got) ** damping[key]
             step = min(max(step, STEP_CLIP[0]), STEP_CLIP[1])
             for path in paths[key]:
-                _scale_workflow_param(doc, path, step)
+                scale_values(view, {path: step})
 
     tuned_doc = best_doc
     tuned = load_workflow(copy.deepcopy(tuned_doc))
+    tuned_view = _by_name(tuned_doc)
     param_factors = {}
     for attr in attribution:
-        value = _get_workflow_param(tuned_doc, attr.path)
+        value = getitem(*_walk(tuned_view, attr.path))
         base_knob = getattr(base_config, attr.knob)
         param_factors[attr.path] = {
             "knob": attr.knob, "base_knob": base_knob, "value": value,
@@ -317,10 +273,11 @@ def derive_config(mapping: CalibrationMapping, new_config: WorkflowConfig) -> Wo
     if unmapped:
         raise UnmappedKnob(f"config knobs {sorted(unmapped)} changed but unmapped")
     doc = copy.deepcopy(mapping.spec_doc)
+    view = _by_name(doc)
     for path, entry in mapping.param_factors.items():
         base_knob = entry["base_knob"]
         new_knob = getattr(new_config, entry["knob"])
         if base_knob == new_knob:
             continue
-        _scale_workflow_param(doc, path, new_knob / base_knob)
+        scale_values(view, {path: new_knob / base_knob})
     return load_workflow(doc)

@@ -173,8 +173,9 @@ class _SlotBank:
     """Free lists of cpu/gpu slot ids; first-fit by node, cpus before gpus."""
 
     def __init__(self, pool: ResourcePool):
-        self.free = {"cpu": [s for s in pool.slots if s[0] == "cpu"],
-                     "gpu": [s for s in pool.slots if s[0] == "gpu"]}
+        # slot ids are lists, as a re-read trace holds them
+        self.free = {"cpu": [list(s) for s in pool.slots if s[0] == "cpu"],
+                     "gpu": [list(s) for s in pool.slots if s[0] == "gpu"]}
 
     def fits(self, spec: TaskSpec):
         return (len(self.free["cpu"]) >= spec.num_ranks * spec.cpus_per_rank

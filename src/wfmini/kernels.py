@@ -100,29 +100,29 @@ class Communicator:
         self._slots = [None] * size
         self.waited = [0.0] * size
 
-    def barrier(self, rank_id, timeout=None):
+    def barrier(self, rank_id):
         t0 = time.perf_counter()
         try:
-            self._barrier.wait(timeout if timeout is not None else self.timeout)
+            self._barrier.wait(self.timeout)
         except threading.BrokenBarrierError:
             raise CollectiveMismatch(
                 f"collective abandoned: not all {self.size} ranks participated")
         finally:
             self.waited[rank_id] += time.perf_counter() - t0
 
-    def _exchange(self, rank_id, value, timeout=None):
+    def _exchange(self, rank_id, value):
         if not 0 <= rank_id < self.size:
             raise InvalidParameter(f"rank {rank_id} out of range for size {self.size}")
         self._slots[rank_id] = value
-        self.barrier(rank_id, timeout)
+        self.barrier(rank_id)
         values = list(self._slots)
-        self.barrier(rank_id, timeout)  # everyone has read; slots may be reused
+        self.barrier(rank_id)  # everyone has read; slots may be reused
         return values
 
-    def allreduce(self, rank_id, data, timeout=None):
+    def allreduce(self, rank_id, data):
         """Elementwise sum across ranks; every rank gets the same result."""
         arr = np.asarray(data, dtype=np.float64)
-        values = self._exchange(rank_id, arr, timeout)
+        values = self._exchange(rank_id, arr)
         if len({v.shape for v in values}) != 1:
             raise SizeMismatch("allreduce buffers differ in shape across ranks")
         out = np.zeros_like(arr)
@@ -130,10 +130,10 @@ class Communicator:
             out = out + v
         return out
 
-    def allgather(self, rank_id, data, timeout=None):
+    def allgather(self, rank_id, data):
         """Concatenation of all ranks' buffers in rank order."""
         arr = np.asarray(data, dtype=np.float64)
-        values = self._exchange(rank_id, arr, timeout)
+        values = self._exchange(rank_id, arr)
         return np.concatenate([np.atleast_1d(v) for v in values])
 
 
@@ -545,7 +545,7 @@ def _mpi_io(ctx, device, params, direction):
         ctx.scratch.staged_source(comm.size * size, name=path.name)
     else:
         ctx.scratch.staged_source(0, name=path.name)  # ensure file exists
-    comm.barrier(ctx.rank_id, params.get("timeout"))
+    comm.barrier(ctx.rank_id)
     offset = ctx.rank_id * size
     flags = os.O_RDONLY if direction == "read" else os.O_WRONLY
     buf = _byte_block(ctx) if direction == "read" else _ZERO_BLOCK
@@ -582,7 +582,7 @@ def _k_write_mpi(ctx, device, params):
 def _k_allreduce(ctx, device, params):
     n = _positive_int(params, "data_size")
     data = ctx.operand(n)
-    out = ctx.comm.allreduce(ctx.rank_id, data, params.get("timeout"))
+    out = ctx.comm.allreduce(ctx.rank_id, data)
     comm_bytes = n * ELEMENT_WIDTH * (ctx.comm.size - 1)  # ring model, per rank
     return KernelResult(bytes_communicated=comm_bytes, checksum=float(out.sum()))
 
@@ -590,7 +590,7 @@ def _k_allreduce(ctx, device, params):
 def _k_allgather(ctx, device, params):
     n = _positive_int(params, "data_size")
     data = ctx.operand(n)
-    out = ctx.comm.allgather(ctx.rank_id, data, params.get("timeout"))
+    out = ctx.comm.allgather(ctx.rank_id, data)
     comm_bytes = n * ELEMENT_WIDTH * (ctx.comm.size - 1)
     return KernelResult(bytes_communicated=comm_bytes, checksum=float(out.sum()))
 

@@ -3,8 +3,7 @@ byte-exact I/O totals, cross-configuration ratio reports, and run-to-run
 variation statistics.
 
 Utilization is computed from the scheduler's slot-occupancy intervals over
-pool-held wall time, not OS counters. Byte counters stay exact integers;
-reports that quote GB use 10^9 bytes.
+pool-held wall time, not OS counters. Byte counters stay exact integers.
 """
 from __future__ import annotations
 
@@ -13,8 +12,6 @@ from dataclasses import dataclass, field, asdict
 
 from .errors import EmptyTrace, InsufficientSamples, LengthMismatch, ZeroDenominator
 from .trace import RunTrace
-
-GB = 1e9
 
 
 @dataclass

@@ -117,12 +117,19 @@ def parse_task_spec(document) -> TaskSpec:
     return spec
 
 
-def _uses_accelerator(program):
-    for step in program:
+def walk_program(program, prefix="program"):
+    """Yield (dotted path, step) for every step of a program, pre-order:
+    each loop before its body."""
+    for i, step in enumerate(program):
+        path = f"{prefix}.{i}"
+        yield path, step
         if step.kind == "loop":
-            if _uses_accelerator(step.body):
-                return True
-        else:
+            yield from walk_program(step.body, f"{path}.body")
+
+
+def _uses_accelerator(program):
+    for _, step in walk_program(program):
+        if step.kind == "kernel":
             dev = step.kernel.params.get("device")
             kind = dev.get("kind") if isinstance(dev, dict) else dev
             if kind == "accelerator":
@@ -222,12 +229,13 @@ def run_task(spec: TaskSpec, assignment=None, sink: MetricsSink | None = None,
 # --------------------------------------------------------------------------
 # parameter addressing and scaling
 
-def _walk(doc, segments, path):
+def _walk(doc, path):
     """Resolve a dotted path against nested dicts/lists; returns (parent, key)."""
+    *head, last = path.split(".")
     node = doc
-    for i, seg in enumerate(segments[:-1]):
-        node = _index(node, seg, path)
-    return node, _key(node, segments[-1], path)
+    for seg in head:
+        node = node[_key(node, seg, path)]
+    return node, _key(node, last, path)
 
 
 def _key(node, seg, path):
@@ -243,23 +251,20 @@ def _key(node, seg, path):
         raise UnknownParameter(f"{path}: no element {seg!r}")
     return seg
 
-def _index(node, seg, path):
-    return node[_key(node, seg, path)]
-
 
 def get_param(spec: TaskSpec, path: str):
     doc = spec.to_dict()
-    parent, key = _walk(doc, path.split("."), path)
+    parent, key = _walk(doc, path)
     return parent[key]
 
 
-def scale_values(doc: dict, factors: dict, path_prefix=""):
+def scale_values(doc: dict, factors: dict):
     """Multiply addressed numeric values in a task/workflow document in
     place; integer values round to >= 1."""
     for path, factor in factors.items():
         if factor <= 0:
             raise InvalidParameter(f"factor for {path} must be > 0")
-        parent, key = _walk(doc, path.split("."), path_prefix + path)
+        parent, key = _walk(doc, path)
         value = parent[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UnknownParameter(f"{path}: value {value!r} is not numeric")
@@ -276,5 +281,5 @@ def scale_task(spec: TaskSpec, factors: dict) -> TaskSpec:
     "program.1.body.0.params.dim".
     """
     doc = spec.to_dict()
-    scale_values(doc, factors, path_prefix=f"{spec.name}:")
+    scale_values(doc, factors)
     return parse_task_spec(doc)

@@ -43,6 +43,7 @@ def best_of(n, fn):
 # --------------------------------------------------------------------------
 # 1. ratio constancy across configurations
 
+@pytest.mark.timing
 def test_criterion_1_ratio_constancy():
     t_start = time.monotonic()
 
@@ -72,6 +73,7 @@ def test_criterion_1_ratio_constancy():
 # --------------------------------------------------------------------------
 # 2. run-to-run reproducibility
 
+@pytest.mark.timing
 def test_criterion_2_reproducibility():
     spec = build("ip:serial_cpu:V1", desk_scale=0.02)
     pool = fitting_pool(spec)
@@ -275,6 +277,7 @@ def test_criterion_6_kernel_oracles():
 # --------------------------------------------------------------------------
 # 7. calibration convergence and config derivation
 
+@pytest.mark.timing
 def test_criterion_7_calibration():
     spec = load_workflow({
         "execution_model": "serial",

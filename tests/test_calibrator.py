@@ -18,6 +18,7 @@ from wfmini.errors import (
     NonConvergence,
     RunnerFailure,
     SchemaError,
+    UnknownParameter,
     UnmappedKnob,
 )
 from wfmini.metrics import MetricsSummary
@@ -103,6 +104,33 @@ def test_loop_with_io_not_attributed_to_makespan():
         "edges": []})
     attrs = default_attribution(spec)
     assert all(a.metric != "makespan" for a in attrs)
+
+
+def test_nested_loops_attribute_the_inner_count_and_the_read_size():
+    spec = load_workflow({
+        "execution_model": "serial",
+        "tasks": [{"name": "t", "category": "c", "num_ranks": 1,
+                   "program": [{"loop": True, "count": 3, "body": [
+                       {"loop": True, "count": 2, "body": [
+                           {"kernel": "RNG", "params": {"data_size": 8}}]},
+                       {"kernel": "readNonMPI", "params": {"data_size": 10}}]}]}],
+        "edges": []})
+    # the outer loop runs a read, so its count is not a makespan knob
+    assert [(a.path, a.metric) for a in default_attribution(spec)] == [
+        ("tasks.t.program.0.body.0.count", "makespan"),
+        ("tasks.t.program.0.body.1.params.data_size", "read_bytes"),
+    ]
+
+
+@pytest.mark.parametrize("path", ["tasks.nope.program.0.count",
+                                  "work.program.0.count"])
+def test_unresolvable_attribution_path_raises(path):
+    attribution = [Attribution(path=path, metric="makespan", category="compute",
+                               knob="epochs")]
+    with pytest.raises(UnknownParameter):
+        calibrate(linear_spec(), profile(2.0, 8000, 4000), ratio=0.25,
+                  tolerance=0.05, max_iters=5, runner=analytic_runner,
+                  attribution=attribution)
 
 
 def test_measured_by_category():

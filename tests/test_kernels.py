@@ -15,7 +15,9 @@ from wfmini.errors import (
     DuplicateKernel,
     InvalidParameter,
     MissingParameter,
+    ScratchUnavailable,
     ShortRead,
+    ShortWrite,
     UnknownKernel,
 )
 from wfmini.kernels import (
@@ -368,6 +370,20 @@ def test_truncated_source_raises_short_read(isolated_scratch, kernel):
     with pytest.raises(ShortRead):
         execute_kernel(KernelCall(kernel, {"data_size": size}),
                        ctx=ctx_with(comm=comm, scratch=scratch))
+
+
+def test_scratch_root_that_is_a_file_is_unavailable(isolated_scratch):
+    root = isolated_scratch / "not-a-dir"
+    root.write_bytes(b"")
+    with pytest.raises(ScratchUnavailable):
+        Scratch(root)
+
+
+def test_write_onto_a_directory_raises_short_write(isolated_scratch):
+    ctx = ctx_with(scratch=Scratch(isolated_scratch))
+    ctx.scratch.write_path(ctx.task_name, ctx.rank_id).mkdir()
+    with pytest.raises(ShortWrite):
+        execute_kernel(KernelCall("writeNonMPI", {"data_size": 8}), ctx=ctx)
 
 
 def test_contextless_compute_kernel_builds_no_scratch(isolated_scratch, monkeypatch):
