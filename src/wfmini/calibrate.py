@@ -188,6 +188,7 @@ def calibrate(spec: WorkflowSpec, target: TargetMetrics, ratio: float,
     view = _by_name(doc)
     paths = {}
     for attr in attribution:
+        _walk(view, attr.path)  # a path that does not resolve fails before any run
         paths.setdefault((attr.category, attr.metric), []).append(attr.path)
     best_doc, best_residuals = None, None
     # each metric accepts or rejects its own step, so a noisy makespan

@@ -6,6 +6,7 @@ run, so idle slots count toward the utilization denominator.
 """
 from __future__ import annotations
 
+import heapq
 import queue
 import threading
 import time
@@ -169,6 +170,11 @@ def critical_path(spec: WorkflowSpec, durations: dict) -> float:
 # --------------------------------------------------------------------------
 # executor
 
+def _demand(task: TaskSpec):
+    """The (cpu, gpu) slot counts a task takes."""
+    return task.num_ranks * task.cpus_per_rank, task.num_ranks * task.gpus_per_rank
+
+
 class _SlotBank:
     """Free lists of cpu/gpu slot ids; first-fit by node, cpus before gpus."""
 
@@ -178,12 +184,11 @@ class _SlotBank:
                      "gpu": [list(s) for s in pool.slots if s[0] == "gpu"]}
 
     def fits(self, spec: TaskSpec):
-        return (len(self.free["cpu"]) >= spec.num_ranks * spec.cpus_per_rank
-                and len(self.free["gpu"]) >= spec.num_ranks * spec.gpus_per_rank)
+        n_cpu, n_gpu = _demand(spec)
+        return len(self.free["cpu"]) >= n_cpu and len(self.free["gpu"]) >= n_gpu
 
     def take(self, spec: TaskSpec):
-        n_cpu = spec.num_ranks * spec.cpus_per_rank
-        n_gpu = spec.num_ranks * spec.gpus_per_rank
+        n_cpu, n_gpu = _demand(spec)
         slots = self.free["cpu"][:n_cpu] + self.free["gpu"][:n_gpu]
         self.free["cpu"] = self.free["cpu"][n_cpu:]
         self.free["gpu"] = self.free["gpu"][n_gpu:]
@@ -204,15 +209,13 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
     exclusivity. A task failure aborts the run (TaskFailed)."""
     validate_dag(spec)
     for t in spec.tasks:
-        # the scheduling pass stops when no cpu slot is free, so a task
-        # taking none could be left unstarted
+        # each rank's lane is a thread, so each rank takes a cpu slot
         if t.num_ranks < 1 or t.cpus_per_rank < 1:
             raise SchemaError(f"task {t.name}: num_ranks and cpus_per_rank must be >= 1")
-        if (t.num_ranks * t.cpus_per_rank > pool.num_cpu_slots
-                or t.num_ranks * t.gpus_per_rank > pool.num_gpu_slots):
+        n_cpu, n_gpu = _demand(t)
+        if n_cpu > pool.num_cpu_slots or n_gpu > pool.num_gpu_slots:
             raise InsufficientPool(
-                f"task {t.name} needs {t.num_ranks * t.cpus_per_rank} cpu / "
-                f"{t.num_ranks * t.gpus_per_rank} gpu slots; pool has "
+                f"task {t.name} needs {n_cpu} cpu / {n_gpu} gpu slots; pool has "
                 f"{pool.num_cpu_slots} / {pool.num_gpu_slots}")
 
     own_scratch = scratch is None
@@ -227,9 +230,11 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
     pos = {name: i for i, name in enumerate(by_name)}
     preds, succs = _graph(spec)
     pending = {name: len(ps) for name, ps in preds.items()}
-    ready = [name for name, n in pending.items() if n == 0]
+    ready = {}  # slot demand -> heap of declaration positions
+    for t in spec.tasks:
+        if not pending[t.name]:
+            heapq.heappush(ready.setdefault(_demand(t), []), pos[t.name])
     running = {}  # name -> slots
-    left = len(by_name)
     failure = None
     serial = spec.execution_model == "serial"
 
@@ -240,29 +245,27 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
                          clock=clock, scratch=scratch,
                          copy_bandwidth=copy_bandwidth)
                 done_q.put((task_spec.name, None))
-            except Exception as e:
+            except BaseException as e:  # SystemExit too, or the run waits forever
                 done_q.put((task_spec.name, e))
         threading.Thread(target=body, name=f"task-{task_spec.name}").start()
 
-    while left:
-        if failure is None:
-            # one pass suffices: taking slots never makes a skipped task fit
-            for name in list(ready):
-                # every task needs a cpu slot, so with none free nothing
-                # further in the list can fit
-                if (serial and running) or not bank.free["cpu"]:
-                    break
-                task_spec = by_name[name]
-                if not bank.fits(task_spec):
-                    continue
-                ready.remove(name)
-                slots = bank.take(task_spec)
-                now = clock()
-                for s in slots:
-                    sink.append({"kind": "slot_busy", "slot": list(s),
-                                 "task": name, "t": now})
-                running[name] = slots
-                launch(task_spec, slots)
+    while True:
+        # start the earliest fitting head until none fits; within a demand
+        # only the head can fit first, and taking slots never makes a skipped
+        # task fit, so this starts what a first-fit scan of the ready tasks in
+        # declaration order would, in the same order
+        while failure is None and not (serial and running):
+            heads = [h for h in ready.values() if h and bank.fits(spec.tasks[h[0]])]
+            if not heads:
+                break
+            task_spec = spec.tasks[heapq.heappop(min(heads, key=lambda h: h[0]))]
+            slots = bank.take(task_spec)
+            now = clock()
+            for s in slots:
+                sink.append({"kind": "slot_busy", "slot": list(s),
+                             "task": task_spec.name, "t": now})
+            running[task_spec.name] = slots
+            launch(task_spec, slots)
         if not running:
             break
         name, err = done_q.get()
@@ -271,15 +274,13 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
         for s in slots:
             sink.append({"kind": "slot_idle", "slot": list(s), "task": name, "t": now})
         bank.release(slots)
-        left -= 1
         if err is not None:
             failure = (name, err)
         else:
             for s in succs[name]:
                 pending[s] -= 1
                 if pending[s] == 0:
-                    ready.append(s)
-            ready.sort(key=pos.get)
+                    heapq.heappush(ready.setdefault(_demand(by_name[s]), []), pos[s])
 
     if own_scratch:
         scratch.cleanup()
@@ -328,19 +329,16 @@ def async_overlap(spec: WorkflowSpec) -> WorkflowSpec:
 def fitting_pool(spec: WorkflowSpec) -> ResourcePool:
     """A single-node pool large enough for the spec's execution model:
     the max single task for serial, the widest phase otherwise."""
-    def needs(tasks):
-        return (sum(t.num_ranks * t.cpus_per_rank for t in tasks),
-                sum(t.num_ranks * t.gpus_per_rank for t in tasks))
-
     if spec.execution_model == "serial":
-        cpu = max(t.num_ranks * t.cpus_per_rank for t in spec.tasks)
-        gpu = max(t.num_ranks * t.gpus_per_rank for t in spec.tasks)
+        sizes = [_demand(t) for t in spec.tasks]
     else:
-        groups = {}
+        groups = {}  # phase -> summed (cpu, gpu) demand
         for t in spec.tasks:
-            groups.setdefault(t.phase, []).append(t)
-        sizes = [needs(ts) for ts in groups.values()]
-        cpu = max(c for c, _ in sizes)
-        gpu = max(g for _, g in sizes)
+            cpu, gpu = groups.get(t.phase, (0, 0))
+            n_cpu, n_gpu = _demand(t)
+            groups[t.phase] = (cpu + n_cpu, gpu + n_gpu)
+        sizes = groups.values()
+    cpu = max(c for c, _ in sizes)
+    gpu = max(g for _, g in sizes)
     return ResourcePool(num_nodes=1, cpus_per_node=max(cpu, 1),
                         gpus_per_node=gpu)

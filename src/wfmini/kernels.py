@@ -336,10 +336,9 @@ def execute_kernel(call: KernelCall, ctx: KernelContext | None = None) -> Kernel
     if kdef.needs_comm and ctx.comm is None:
         raise CommunicatorRequired(f"{kdef.name} is a collective and needs a communicator")
 
-    params = dict(call.params)
-    reps = params.pop("repetitions", 1)
-    if not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise InvalidParameter(f"repetitions must be >= 1, got {reps!r}")
+    params = {"repetitions": 1, **call.params}
+    reps = _positive_int(params, "repetitions")
+    del params["repetitions"]
     for key in kdef.required:
         if key not in params:
             raise MissingParameter(f"{kdef.name} requires parameter {key!r}")

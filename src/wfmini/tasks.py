@@ -195,7 +195,7 @@ def run_task(spec: TaskSpec, assignment=None, sink: MetricsSink | None = None,
             copy_bandwidth=copy_bandwidth)
         try:
             _run_program(spec.program, ctx, totals[rank_id])
-        except Exception as e:  # first failure aborts all ranks
+        except BaseException as e:  # first failure aborts all ranks
             errors.append((rank_id, e))
             comm._barrier.abort()
 

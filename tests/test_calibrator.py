@@ -127,10 +127,17 @@ def test_nested_loops_attribute_the_inner_count_and_the_read_size():
 def test_unresolvable_attribution_path_raises(path):
     attribution = [Attribution(path=path, metric="makespan", category="compute",
                                knob="epochs")]
+    runs = []
+
+    def counting_runner(spec):
+        runs.append(spec)
+        return analytic_runner(spec)
+
     with pytest.raises(UnknownParameter):
         calibrate(linear_spec(), profile(2.0, 8000, 4000), ratio=0.25,
-                  tolerance=0.05, max_iters=5, runner=analytic_runner,
+                  tolerance=0.05, max_iters=5, runner=counting_runner,
                   attribution=attribution)
+    assert runs == []  # the path is checked before the first run
 
 
 def test_measured_by_category():

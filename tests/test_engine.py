@@ -1,6 +1,8 @@
 """Workflow engine: DAG validation, critical path against a path-enumeration
 oracle, execution-model semantics, slot accounting, and failure handling."""
 import itertools
+import random
+import threading
 from dataclasses import replace
 
 import pytest
@@ -25,11 +27,12 @@ from wfmini.errors import (
     TaskFailed,
     UnknownTaskReference,
 )
+from wfmini.kernels import catalog_names, register_kernel
 from wfmini.trace import ResourcePool
 
 
-def task_doc(name, ranks=1, phase=None, category="work", program=None):
-    doc = {"name": name, "category": category, "num_ranks": ranks,
+def task_doc(name, ranks=1, phase=None, category="work", program=None, gpus=0):
+    doc = {"name": name, "category": category, "num_ranks": ranks, "gpus_per_rank": gpus,
            "program": program or [{"kernel": "RNG", "params": {"data_size": 64}}]}
     if phase is not None:
         doc["phase"] = phase
@@ -234,7 +237,12 @@ def test_task_without_cpus_rejected():
         execute(spec, ResourcePool(1, 2), seed=0)
 
 
-def test_scheduler_stops_its_pass_when_no_cpu_is_free(monkeypatch):
+TINY = [{"kernel": "reduction", "params": {"data_size": 8}}]
+
+
+@pytest.mark.parametrize("pool, gpus", [(ResourcePool(1, 2), 0), (ResourcePool(1, 2, 1), 1)],
+                         ids=["cpus-busy", "gpu-busy"])
+def test_scheduler_stops_its_pass_when_no_head_fits(monkeypatch, pool, gpus):
     fits = engine._SlotBank.fits
     calls = []
 
@@ -244,13 +252,87 @@ def test_scheduler_stops_its_pass_when_no_cpu_is_free(monkeypatch):
 
     monkeypatch.setattr(engine._SlotBank, "fits", counted)
     leaves = [f"t{i}" for i in range(200)]
-    tiny = [{"kernel": "reduction", "params": {"data_size": 8}}]
-    spec = load_workflow({"tasks": [task_doc(n, program=tiny) for n in ["fork"] + leaves],
-                          "edges": [["fork", n] for n in leaves]})
-    trace = execute(spec, ResourcePool(1, 2), seed=0)
+    spec = load_workflow({
+        "tasks": [task_doc("fork", program=TINY)]
+        + [task_doc(n, program=TINY, gpus=gpus) for n in leaves],
+        "edges": [["fork", n] for n in leaves]})
+    trace = execute(spec, pool, seed=0)
     assert len(trace.records) == 201
-    # trying every ready task on every completion made 19 902 calls here
+    # trying every ready task on every completion made 19 902 calls with the
+    # cpus busy; stopping once no cpu was free still made about 100 per task
+    # with the one gpu busy
     assert len(calls) <= 2 * 201
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_start_order_matches_a_first_fit_scan(seed):
+    """Replay the slot events: after each completion the tasks started, and
+    their slots, are those of a first-fit scan of the ready tasks in
+    declaration order, taking the lowest free slot ids."""
+    rng = random.Random(seed)
+    names = [f"t{i}" for i in range(40)]
+    demands = [rng.choice([(1, 0), (2, 0), (1, 1)]) for _ in names]
+    edges = [(names[i], names[j]) for i, j in itertools.combinations(range(40), 2)
+             if rng.random() < 0.08]
+    spec = load_workflow({
+        "tasks": [task_doc(n, ranks=c, gpus=g, program=TINY) for n, (c, g) in zip(names, demands)],
+        "edges": [list(e) for e in edges]})
+    pool = ResourcePool(1, 3, 1)
+    trace = execute(spec, pool, seed=0)
+    assert [r.task_name for r in trace.records] == names
+
+    slot_events = [(e["kind"], e["task"], e["slot"]) for e in trace.events
+                   if e["kind"] in ("slot_busy", "slot_idle")]
+    completions = list(dict.fromkeys(t for kind, t, _ in slot_events if kind == "slot_idle"))
+    free = {kind: [list(s) for s in pool.slots if s[0] == kind] for kind in ("cpu", "gpu")}
+    started, done, held = set(), set(), {}
+
+    def first_fit():
+        block = []
+        for name, (cpu, gpu) in zip(names, demands):
+            ready = name not in started and all(p in done for p, s in edges if s == name)
+            if ready and len(free["cpu"]) >= cpu and len(free["gpu"]) >= gpu:
+                held[name] = free["cpu"][:cpu] + free["gpu"][:gpu]
+                del free["cpu"][:cpu], free["gpu"][:gpu]
+                started.add(name)
+                block += [("slot_busy", name, s) for s in held[name]]
+        return block
+
+    expected = first_fit()
+    for name in completions:
+        slots = held.get(name, [])  # a task the scan never started fails below
+        expected += [("slot_idle", name, s) for s in slots]
+        done.add(name)
+        for s in slots:
+            free[s[0]].append(s)
+        free["cpu"].sort()
+        free["gpu"].sort()
+        expected += first_fit()
+    assert slot_events == expected
+    assert started == done == set(names)
+
+
+def test_kernel_raising_system_exit_fails_the_run():
+    name = "raisesSystemExit"
+    if name not in catalog_names():
+        def leave(ctx, device, params):
+            raise SystemExit(3)
+        register_kernel(name, leave)
+    spec = load_workflow({"tasks": [task_doc("a", ranks=2, program=[{"kernel": name}])]})
+    raised = []
+
+    def run():
+        try:
+            execute(spec, ResourcePool(1, 2), seed=0)
+        except BaseException as e:
+            raised.append(e)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(20)
+    # a lane that let SystemExit through never posted the task's completion
+    assert not runner.is_alive(), "execute still waits for the task"
+    assert len(raised) == 1 and isinstance(raised[0], TaskFailed)
 
 
 def test_task_failure_aborts_run():

@@ -406,8 +406,9 @@ def test_repetitions_aggregate_bytes(isolated_scratch):
     res = execute_kernel(
         KernelCall("writeNonMPI", {"data_size": 1000, "repetitions": 3}), ctx=ctx)
     assert res.bytes_written == 3000
-    with pytest.raises(InvalidParameter):
-        run("RNG", data_size=10, repetitions=0)
+    for bad in (0, True, 2.0):
+        with pytest.raises(InvalidParameter):
+            run("RNG", data_size=10, repetitions=bad)
 
 
 def test_staged_source_grows_not_shrinks(isolated_scratch):
