@@ -249,29 +249,36 @@ def deep_drive_md_spec(model: str, config: str,
     return spec
 
 
-def build(selector: str, desk_scale: float = DEFAULT_DESK_SCALE,
-          rank_scale: float | None = None) -> WorkflowSpec:
-    """Build an exemplar from a flat "family:model:config" selector, e.g.
-    "ip:serial_cpu:V1" or "ddmd:async:V2"."""
+_FAMILIES = {"ip": "inverse_problem", "ddmd": "deepdrivemd"}
+
+
+def _exemplar_id(selector: str, desk_scale: float = DEFAULT_DESK_SCALE) -> ExemplarId:
+    """The ExemplarId that a "family:model:config" selector names."""
     try:
         family, model, config = selector.split(":")
     except ValueError:
         raise InvalidExemplar(f"selector must be family:model:config, got {selector!r}")
-    if family in ("ip", "inverse_problem"):
-        return inverse_problem_spec(model, config, desk_scale, rank_scale)
-    if family in ("ddmd", "deepdrivemd"):
-        return deep_drive_md_spec(model, config, desk_scale, rank_scale)
-    raise InvalidExemplar(f"unknown family {family!r}")
+    return ExemplarId(_FAMILIES.get(family, family), model, config, desk_scale)
+
+
+def build(selector: str, desk_scale: float = DEFAULT_DESK_SCALE,
+          rank_scale: float | None = None) -> WorkflowSpec:
+    """Build an exemplar from a flat "family:model:config" selector, e.g.
+    "ip:serial_cpu:V1" or "ddmd:async:V2"."""
+    ex = _exemplar_id(selector, desk_scale)
+    if ex.family == "inverse_problem":
+        return inverse_problem_spec(ex.model, ex.config, desk_scale, rank_scale)
+    return deep_drive_md_spec(ex.model, ex.config, desk_scale, rank_scale)
 
 
 def default_config(selector: str) -> WorkflowConfig:
     """The WorkflowConfig knob values an exemplar encodes (calibration base)."""
-    family, model, config = selector.split(":")
-    if family in ("ip", "inverse_problem"):
+    ex = _exemplar_id(selector)
+    if ex.family == "inverse_problem":
         return WorkflowConfig(
-            num_nodes=1, epochs=IP_EPOCHS[model][config],
-            data_scale=float(IP_DATA_SCALE[config]), phases=IP_PHASES,
-            ranks={"sim": IP_SIM_RANKS, "ml": IP_ML_RANKS[model]})
+            num_nodes=1, epochs=IP_EPOCHS[ex.model][ex.config],
+            data_scale=float(IP_DATA_SCALE[ex.config]), phases=IP_PHASES,
+            ranks={"sim": IP_SIM_RANKS, "ml": IP_ML_RANKS[ex.model]})
     return WorkflowConfig(
-        num_nodes=1, epochs=DDMD_EPOCHS[config], phases=DDMD_PHASES[config],
-        steps=DDMD_STEPS[config], ranks={"sim": DDMD_SIM_TASKS, "ml": 1, "rest": 1})
+        num_nodes=1, epochs=DDMD_EPOCHS[ex.config], phases=DDMD_PHASES[ex.config],
+        steps=DDMD_STEPS[ex.config], ranks={"sim": DDMD_SIM_TASKS, "ml": 1, "rest": 1})

@@ -14,6 +14,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,8 @@ class Device:
     def __post_init__(self):
         if self.kind not in ("host", "accelerator"):
             raise InvalidParameter(f"unknown device kind {self.kind!r}")
-        if self.slowdown_factor <= 0:
-            raise InvalidParameter("slowdown_factor must be > 0")
+        if not isinstance(self.slowdown_factor, (int, float)) or self.slowdown_factor <= 0:
+            raise InvalidParameter(f"slowdown_factor must be > 0, got {self.slowdown_factor!r}")
         if self.kind == "host" and self.slowdown_factor != 1.0:
             raise InvalidParameter("host device must have slowdown_factor 1.0")
 
@@ -63,9 +64,6 @@ class Device:
             return cls(kind=value.get("kind", "host"),
                        slowdown_factor=value.get("slowdown_factor", 1.0))
         raise InvalidParameter(f"cannot interpret device {value!r}")
-
-
-HOST = Device("host")
 
 
 @dataclass
@@ -141,7 +139,7 @@ class Scratch:
     """Scratch-directory manager: lazily staged read sources, per-rank write
     files, shared files for collective I/O. Thread-safe."""
 
-    def __init__(self, root=None, fsync=False):
+    def __init__(self, root=None):
         root = Path(root or os.environ.get(SCRATCH_ENV)
                     or Path(tempfile.gettempdir()) / "wfmini-scratch")
         try:
@@ -153,7 +151,6 @@ class Scratch:
         except OSError as e:
             raise ScratchUnavailable(f"scratch {root} not writable: {e}")
         self.root = root
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._written = set()
 
@@ -201,8 +198,8 @@ class KernelContext:
 
     The host/device pools, work block, operand memo and dwell clock are
     lane state, kept for the context's life. The default scratch manager
-    and the work block are built on first use, so a context that runs only
-    compute kernels touches no file system."""
+    (see `files`) and the work block are built on first use, so a context
+    that runs only compute kernels touches no file system."""
 
     rank_id: int = 0
     comm: Communicator | None = None
@@ -224,6 +221,12 @@ class KernelContext:
     def __post_init__(self):
         if self.rng is None:
             self.rng = np.random.default_rng(int(os.environ.get(SEED_ENV, "0")))
+
+    def files(self) -> Scratch:
+        """The lane's scratch manager, a default one built on first use."""
+        if self.scratch is None:
+            self.scratch = Scratch()
+        return self.scratch
 
     def work_block(self) -> np.ndarray:
         """The lane's reusable float64 block of WORK_BLOCK elements: large
@@ -263,21 +266,6 @@ class KernelContext:
         self._overslept = slept - want
 
 
-def _get_scratch(ctx) -> Scratch:
-    if ctx._scratch is None:
-        ctx._scratch = Scratch()
-    return ctx._scratch
-
-
-def _set_scratch(ctx, scratch):
-    ctx._scratch = scratch
-
-
-# The generated __init__ assigns `scratch` through this property, and the
-# default Scratch (mkdir plus a probe file) is built on first read.
-KernelContext.scratch = property(_get_scratch, _set_scratch)
-
-
 # --------------------------------------------------------------------------
 # catalog machinery
 
@@ -293,8 +281,8 @@ _CATALOG: dict[str, KernelDef] = {}
 
 
 def register_kernel(name, impl, required=(), needs_comm=False):
-    """Add a kernel to the catalog; registered kernels dispatch and trace
-    identically to built-ins."""
+    """Add a kernel `impl(ctx, params) -> KernelResult` to the catalog;
+    registered kernels dispatch and trace identically to built-ins."""
     if name in _CATALOG:
         raise DuplicateKernel(name)
     _CATALOG[name] = KernelDef(name=name, fn=impl, required=tuple(required),
@@ -342,7 +330,7 @@ def execute_kernel(call: KernelCall, ctx: KernelContext | None = None) -> Kernel
     for key in kdef.required:
         if key not in params:
             raise MissingParameter(f"{kdef.name} requires parameter {key!r}")
-    device = Device.parse(params.pop("device")) if "device" in params else HOST
+    slowdown = Device.parse(params.pop("device")).slowdown_factor if "device" in params else 1.0
 
     agg = KernelResult()
     t_start = ctx.clock()
@@ -351,17 +339,17 @@ def execute_kernel(call: KernelCall, ctx: KernelContext | None = None) -> Kernel
         ctx._ordinal = 0
         wait0 = _waited(ctx)
         t0 = time.perf_counter()
-        part = kdef.fn(ctx, device, params)
+        part = kdef.fn(ctx, params)
         elapsed = time.perf_counter() - t0
-        if device.slowdown_factor != 1.0:
+        if slowdown != 1.0:
             # the device slows compute; time spent waiting for other ranks
             # is not scaled, or each rank's slowed wait would feed the next
             wait = _waited(ctx) - wait0
             compute = elapsed - wait
-            extra = compute * (device.slowdown_factor - 1.0)
+            extra = compute * (slowdown - 1.0)
             if extra > 0:
                 ctx.dwell(extra)
-            elapsed = compute * device.slowdown_factor + wait
+            elapsed = compute * slowdown + wait
         wall += elapsed
         agg.bytes_read += part.bytes_read
         agg.bytes_written += part.bytes_written
@@ -401,7 +389,7 @@ def seeded_buffer(rng, n, dtype=np.float64):
     return block if n == m else np.resize(block, n)
 
 
-def _k_matmul_simple2d(ctx, device, params):
+def _k_matmul_simple2d(ctx, params):
     dim = _positive_int(params, "dim")
     a = ctx.operand(dim * dim).reshape(dim, dim)
     b = ctx.operand(dim * dim).reshape(dim, dim)
@@ -409,7 +397,7 @@ def _k_matmul_simple2d(ctx, device, params):
     return KernelResult(checksum=float(c.sum()))
 
 
-def _k_matmul_general(ctx, device, params):
+def _k_matmul_general(ctx, params):
     dims = params["dim_list"]
     if not isinstance(dims, (list, tuple)):
         raise InvalidParameter("dim_list must be a list of (m, k, n) triples")
@@ -426,7 +414,7 @@ def _k_matmul_general(ctx, device, params):
     return KernelResult(checksum=checksum)
 
 
-def _k_fft(ctx, device, params):
+def _k_fft(ctx, params):
     n = _positive_int(params, "data_size", minimum=0)
     if not ops.is_power_of_two(n) or n < 2:
         raise InvalidParameter(f"fft data_size must be a power of two >= 2, got {n}")
@@ -441,7 +429,7 @@ def _k_fft(ctx, device, params):
     return KernelResult(checksum=checksum)
 
 
-def _k_rng(ctx, device, params):
+def _k_rng(ctx, params):
     n = _positive_int(params, "data_size")
     dist = params.get("distribution", "uniform")
     if dist not in ("uniform", "normal"):
@@ -459,7 +447,7 @@ def _k_rng(ctx, device, params):
     return KernelResult(checksum=checksum)
 
 
-def _k_axpy(ctx, device, params):
+def _k_axpy(ctx, params):
     n = _positive_int(params, "data_size")
     a = params.get("a", 1.0)
     x = ctx.operand(n)
@@ -468,7 +456,7 @@ def _k_axpy(ctx, device, params):
     return KernelResult(checksum=float(out.sum()))
 
 
-def _k_scatter_add(ctx, device, params):
+def _k_scatter_add(ctx, params):
     x_size = _positive_int(params, "x_size")
     y_size = _positive_int(params, "y_size")
     x = ctx.operand(x_size)
@@ -477,12 +465,12 @@ def _k_scatter_add(ctx, device, params):
     return KernelResult(checksum=float(y.sum()))
 
 
-def _k_reduction(ctx, device, params):
+def _k_reduction(ctx, params):
     n = _positive_int(params, "data_size")
     return KernelResult(checksum=ops.reduction(ctx.operand(n)))
 
 
-def _k_inplace_compute(ctx, device, params):
+def _k_inplace_compute(ctx, params):
     n = _positive_int(params, "data_size")
     functor = params["functor"]
     y = ops.inplace_compute(functor, ctx.operand(n))
@@ -492,93 +480,68 @@ def _k_inplace_compute(ctx, device, params):
 # --------------------------------------------------------------------------
 # file I/O kernels
 
-def _k_read_nonmpi(ctx, device, params):
-    size = _positive_int(params, "data_size", minimum=0)
-    if size == 0:
-        return KernelResult()
-    path = ctx.scratch.staged_source(size)
-    buf = _byte_block(ctx)
-    count = 0
-    with path.open("rb", buffering=0) as f:
-        while count < size:
-            n = f.readinto(buf[:size - count])
-            if not n:
-                raise ShortRead(f"read {count} of {size} bytes from {path}")
-            count += n
-    return KernelResult(bytes_read=count)
-
-
-def _byte_block(ctx):
-    """The lane's work block as a writable byte view, the target of reads."""
-    return memoryview(ctx.work_block()).cast("B")
-
-
 # writes send slices of this view, so no block is copied per write
 _ZERO_BLOCK = memoryview(bytes(IO_BLOCK))
 
 
-def _k_write_nonmpi(ctx, device, params):
-    size = _positive_int(params, "data_size", minimum=0)
-    if size == 0:
-        return KernelResult()
-    path = ctx.scratch.write_path(ctx.task_name, ctx.rank_id)
+def _transfer(ctx, path, size, offset, mode):
+    """Move `size` bytes at `offset` of `path`, reading them into the lane's
+    work block ("rb") or writing zeros ("ab" appends, "r+b" overwrites). A
+    short read or any OS error raises ShortRead or ShortWrite."""
+    reading = mode == "rb"
+    error = ShortRead if reading else ShortWrite
+    buf = memoryview(ctx.work_block()).cast("B") if reading else _ZERO_BLOCK
     count = 0
     try:
-        with path.open("ab") as f:
+        with open(path, mode, buffering=0) as f:
+            f.seek(offset)
             while count < size:
-                n = f.write(_ZERO_BLOCK[:size - count])
-                count += n
-            if ctx.scratch.fsync:
-                f.flush()
-                os.fsync(f.fileno())
-    except OSError as e:
-        raise ShortWrite(f"wrote {count} of {size} bytes to {path}: {e}")
-    return KernelResult(bytes_written=count)
-
-
-def _mpi_io(ctx, device, params, direction):
-    size = _positive_int(params, "data_size", minimum=0)
-    comm = ctx.comm
-    path = ctx.scratch.shared_path(ctx.task_name)
-    if direction == "read":
-        ctx.scratch.staged_source(comm.size * size, name=path.name)
-    else:
-        ctx.scratch.staged_source(0, name=path.name)  # ensure file exists
-    comm.barrier(ctx.rank_id)
-    offset = ctx.rank_id * size
-    flags = os.O_RDONLY if direction == "read" else os.O_WRONLY
-    buf = _byte_block(ctx) if direction == "read" else _ZERO_BLOCK
-    fd = os.open(path, flags)
-    try:
-        count = 0
-        while count < size:
-            chunk = buf[:size - count]
-            if direction == "read":
-                n = os.preadv(fd, [chunk], offset + count)
+                chunk = buf[:size - count]
+                n = f.readinto(chunk) if reading else f.write(chunk)
                 if not n:
-                    raise ShortRead(f"short shared read at offset {offset + count}")
+                    raise error(f"moved {count} of {size} bytes at {path}:{offset}")
                 count += n
-            else:
-                count += os.pwrite(fd, chunk, offset + count)
-    finally:
-        os.close(fd)
-    if direction == "read":
+    except OSError as e:
+        raise error(f"moved {count} of {size} bytes at {path}:{offset}: {e}")
+    if reading:
         return KernelResult(bytes_read=count)
     return KernelResult(bytes_written=count)
 
 
-def _k_read_mpi(ctx, device, params):
-    return _mpi_io(ctx, device, params, "read")
+def _k_read_nonmpi(ctx, params):
+    size = _positive_int(params, "data_size", minimum=0)
+    if size == 0:
+        return KernelResult()
+    return _transfer(ctx, ctx.files().staged_source(size), size, 0, "rb")
 
 
-def _k_write_mpi(ctx, device, params):
-    return _mpi_io(ctx, device, params, "write")
+def _k_write_nonmpi(ctx, params):
+    size = _positive_int(params, "data_size", minimum=0)
+    if size == 0:
+        return KernelResult()
+    path = ctx.files().write_path(ctx.task_name, ctx.rank_id)
+    return _transfer(ctx, path, size, 0, "ab")
+
+
+def _mpi_io(ctx, params, mode):
+    size = _positive_int(params, "data_size", minimum=0)
+    scratch = ctx.files()
+    path = scratch.shared_path(ctx.task_name)
+    # a read needs every rank's bytes staged; a write needs the file to exist
+    staged = ctx.comm.size * size if mode == "rb" else 0
+    scratch.staged_source(staged, name=path.name)
+    ctx.comm.barrier(ctx.rank_id)
+    return _transfer(ctx, path, size, ctx.rank_id * size, mode)
+
+
+_k_read_mpi = partial(_mpi_io, mode="rb")
+_k_write_mpi = partial(_mpi_io, mode="r+b")
 
 
 # --------------------------------------------------------------------------
 # collectives
 
-def _k_allreduce(ctx, device, params):
+def _k_allreduce(ctx, params):
     n = _positive_int(params, "data_size")
     data = ctx.operand(n)
     out = ctx.comm.allreduce(ctx.rank_id, data)
@@ -586,7 +549,7 @@ def _k_allreduce(ctx, device, params):
     return KernelResult(bytes_communicated=comm_bytes, checksum=float(out.sum()))
 
 
-def _k_allgather(ctx, device, params):
+def _k_allgather(ctx, params):
     n = _positive_int(params, "data_size")
     data = ctx.operand(n)
     out = ctx.comm.allgather(ctx.rank_id, data)
@@ -597,7 +560,7 @@ def _k_allgather(ctx, device, params):
 # --------------------------------------------------------------------------
 # host<->device data movement
 
-def _data_copy(ctx, device, params, direction):
+def _data_copy(ctx, params, direction):
     size = _positive_int(params, "data_size", minimum=0)
     if size == 0:
         return KernelResult()
@@ -616,12 +579,8 @@ def _data_copy(ctx, device, params, direction):
     return KernelResult(checksum=float(buf.sum(dtype=np.float64)))
 
 
-def _k_copy_h2d(ctx, device, params):
-    return _data_copy(ctx, device, params, "h2d")
-
-
-def _k_copy_d2h(ctx, device, params):
-    return _data_copy(ctx, device, params, "d2h")
+_k_copy_h2d = partial(_data_copy, direction="h2d")
+_k_copy_d2h = partial(_data_copy, direction="d2h")
 
 
 register_kernel("matMulSimple2D", _k_matmul_simple2d, required=("dim",))

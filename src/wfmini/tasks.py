@@ -23,6 +23,7 @@ from .errors import (
 from .kernels import (
     DEFAULT_COPY_BANDWIDTH,
     Communicator,
+    Device,
     KernelCall,
     KernelContext,
     Scratch,
@@ -86,6 +87,10 @@ def _parse_step(doc, where):
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError(f"{where}: params must be an object")
+    try:
+        Device.parse(params.get("device", "host"))
+    except InvalidParameter as e:
+        raise SchemaError(f"{where}: {e}")
     return ProgramStep(kind="kernel", kernel=KernelCall(name, dict(params)))
 
 
@@ -130,9 +135,8 @@ def walk_program(program, prefix="program"):
 def _uses_accelerator(program):
     for _, step in walk_program(program):
         if step.kind == "kernel":
-            dev = step.kernel.params.get("device")
-            kind = dev.get("kind") if isinstance(dev, dict) else dev
-            if kind == "accelerator":
+            device = Device.parse(step.kernel.params.get("device", "host"))
+            if device.kind == "accelerator":
                 return True
     return False
 

@@ -315,7 +315,7 @@ def test_start_order_matches_a_first_fit_scan(seed):
 def test_kernel_raising_system_exit_fails_the_run():
     name = "raisesSystemExit"
     if name not in catalog_names():
-        def leave(ctx, device, params):
+        def leave(ctx, params):
             raise SystemExit(3)
         register_kernel(name, leave)
     spec = load_workflow({"tasks": [task_doc("a", ranks=2, program=[{"kernel": name}])]})

@@ -135,13 +135,22 @@ def test_rank_scale_independent_of_desk_scale():
     assert full.task("sim_p1").num_ranks == 128
 
 
-@pytest.mark.parametrize("selector", [
+INVALID_SELECTORS = [
     "ip:serial_cpu:V9", "ip:quantum:V1", "ddmd:sync:V3", "ddmd:chaotic:V1",
     "mystery:sync:V1", "not-a-selector",
-])
+]
+
+
+@pytest.mark.parametrize("selector", INVALID_SELECTORS)
 def test_invalid_exemplars_rejected(selector):
     with pytest.raises(InvalidExemplar):
         build(selector)
+
+
+@pytest.mark.parametrize("selector", INVALID_SELECTORS)
+def test_default_config_rejects_invalid_selectors(selector):
+    with pytest.raises(InvalidExemplar):
+        default_config(selector)
 
 
 def test_desk_scale_must_be_positive():

@@ -301,7 +301,7 @@ def test_repetitions_reuse_operands(monkeypatch):
 def test_operands_are_read_only():
     name = "writesOperand"
     if name not in catalog_names():
-        def scribble(ctx, device, params):
+        def scribble(ctx, params):
             ctx.operand(8)[0] = 1.0
             return KernelResult()
         register_kernel(name, scribble)
@@ -379,11 +379,28 @@ def test_scratch_root_that_is_a_file_is_unavailable(isolated_scratch):
         Scratch(root)
 
 
-def test_write_onto_a_directory_raises_short_write(isolated_scratch):
-    ctx = ctx_with(scratch=Scratch(isolated_scratch))
-    ctx.scratch.write_path(ctx.task_name, ctx.rank_id).mkdir()
+@pytest.mark.parametrize("kernel", ["writeNonMPI", "writeWithMPI"])
+def test_write_onto_a_directory_raises_short_write(isolated_scratch, kernel):
+    comm = Communicator(1) if kernel == "writeWithMPI" else None
+    ctx = ctx_with(comm=comm, scratch=Scratch(isolated_scratch))
+    if comm is None:
+        ctx.scratch.write_path(ctx.task_name, ctx.rank_id).mkdir()
+    else:
+        ctx.scratch.shared_path(ctx.task_name).mkdir()
     with pytest.raises(ShortWrite):
-        execute_kernel(KernelCall("writeNonMPI", {"data_size": 8}), ctx=ctx)
+        execute_kernel(KernelCall(kernel, {"data_size": 8}), ctx=ctx)
+
+
+@pytest.mark.parametrize("kernel", ["readNonMPI", "readWithMPI"])
+def test_read_from_a_directory_raises_short_read(isolated_scratch, kernel):
+    comm = Communicator(1) if kernel == "readWithMPI" else None
+    ctx = ctx_with(comm=comm, scratch=Scratch(isolated_scratch))
+    if comm is None:
+        (ctx.scratch.root / "stage-src.dat").mkdir()
+    else:
+        ctx.scratch.shared_path(ctx.task_name).mkdir()
+    with pytest.raises(ShortRead):
+        execute_kernel(KernelCall(kernel, {"data_size": 8}), ctx=ctx)
 
 
 def test_contextless_compute_kernel_builds_no_scratch(isolated_scratch, monkeypatch):
@@ -510,13 +527,13 @@ def test_catalog_contents():
 
 def test_register_rejects_duplicates():
     with pytest.raises(DuplicateKernel):
-        register_kernel("RNG", lambda ctx, device, params: KernelResult())
+        register_kernel("RNG", lambda ctx, params: KernelResult())
 
 
 def test_register_custom_kernel():
     name = "customNoop"
     if name not in catalog_names():
-        register_kernel(name, lambda ctx, device, params: KernelResult(checksum=1.0))
+        register_kernel(name, lambda ctx, params: KernelResult(checksum=1.0))
     assert run(name).checksum == 1.0
 
 

@@ -75,6 +75,17 @@ def test_accelerator_kernels_need_gpus():
     assert parse_task_spec(doc).gpus_per_rank == 1
 
 
+@pytest.mark.parametrize("device", [
+    "tpu", {"kind": "accelerator", "slowdown_factor": 0},
+    {"kind": "accelerator", "slowdown_factor": "2"}, 17],
+    ids=["tpu", "zero-slowdown", "text-slowdown", "number"])
+def test_parse_rejects_bad_device_naming_the_step(device):
+    doc = simple_doc(gpus_per_rank=1, program=[{"loop": True, "count": 2, "body": [
+        {"kernel": "axpy", "params": {"data_size": 8, "device": device}}]}])
+    with pytest.raises(SchemaError, match=r"t\.program\.0\.body\.0"):
+        parse_task_spec(doc)
+
+
 def test_spmd_byte_additivity(isolated_scratch):
     def bytes_for(ranks):
         spec = parse_task_spec({
