@@ -23,7 +23,7 @@ from .errors import (
 )
 from .kernels import DEFAULT_COPY_BANDWIDTH, Scratch
 from .tasks import TaskSpec, parse_task_spec, run_task
-from .trace import MetricsSink, ResourcePool, RunTrace
+from .trace import MetricsSink, ResourcePool, RunTrace, task_records
 
 EXECUTION_MODELS = ("serial", "parallel", "sync", "async")
 
@@ -238,11 +238,10 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
     failure = None
     serial = spec.execution_model == "serial"
 
-    def launch(task_spec, slots):
+    def launch(task_spec):
         def body():
             try:
-                run_task(task_spec, assignment=slots, sink=sink, seed=seed,
-                         clock=clock, scratch=scratch,
+                run_task(task_spec, sink=sink, seed=seed, clock=clock, scratch=scratch,
                          copy_bandwidth=copy_bandwidth)
                 done_q.put((task_spec.name, None))
             except BaseException as e:  # SystemExit too, or the run waits forever
@@ -265,7 +264,7 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
                 sink.append({"kind": "slot_busy", "slot": list(s),
                              "task": task_spec.name, "t": now})
             running[task_spec.name] = slots
-            launch(task_spec, slots)
+            launch(task_spec)
         if not running:
             break
         name, err = done_q.get()
@@ -288,9 +287,8 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
         name, err = failure
         raise TaskFailed(f"task {name} failed: {err}") from err
     # declaration order: completion order depends on thread timing
-    records = sorted(sink.records, key=lambda r: pos[r.task_name])
     return RunTrace(run_id=run_id or uuid.uuid4().hex[:12], pool=pool,
-                    events=sink.events, records=records)
+                    events=sink.events, records=task_records(sink.events, spec.task_names))
 
 
 # --------------------------------------------------------------------------

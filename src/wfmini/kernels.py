@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from urllib.parse import quote
 
 import numpy as np
 
@@ -169,15 +170,15 @@ class Scratch:
         return path
 
     def write_path(self, task_name, rank_id):
-        safe = task_name.replace("/", "_") or "task"
-        path = self.root / f"{safe}-r{rank_id}.dat"
-        with self._lock:
-            self._written.add(path)
-        return path
+        return self._task_path(task_name, f"r{rank_id}")
 
     def shared_path(self, task_name):
-        safe = task_name.replace("/", "_") or "task"
-        path = self.root / f"{safe}-shared.dat"
+        return self._task_path(task_name, "shared")
+
+    def _task_path(self, task_name, suffix):
+        # %-escaping every character outside [A-Za-z0-9_.~-] maps distinct
+        # task names to distinct file names, "/" included
+        path = self.root / f"{quote(task_name, safe='')}-{suffix}.dat"
         with self._lock:
             self._written.add(path)
         return path

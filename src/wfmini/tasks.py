@@ -30,7 +30,7 @@ from .kernels import (
     _CATALOG,
     execute_kernel,
 )
-from .trace import MetricsSink, TaskRecord
+from .trace import MetricsSink, TaskRecord, task_records
 
 
 @dataclass
@@ -152,31 +152,29 @@ def rank_seed(global_seed: int, name: str, rank_id: int) -> int:
 # --------------------------------------------------------------------------
 # execution
 
-def _run_program(program, ctx, totals):
+def _run_program(program, ctx):
     for step in program:
         if step.kind == "loop":
             for _ in range(step.count):
-                _run_program(step.body, ctx, totals)
+                _run_program(step.body, ctx)
         else:
-            res = execute_kernel(step.kernel, ctx=ctx)
-            totals["bytes_read"] += res.bytes_read
-            totals["bytes_written"] += res.bytes_written
-            totals["wall_time"] += res.wall_time
+            execute_kernel(step.kernel, ctx=ctx)
 
 
-def run_task(spec: TaskSpec, assignment=None, sink: MetricsSink | None = None,
+def run_task(spec: TaskSpec, sink: MetricsSink | None = None,
              seed: int = 0, clock=None, scratch: Scratch | None = None,
              copy_bandwidth: float = DEFAULT_COPY_BANDWIDTH,
              collective_timeout: float = 30.0) -> TaskRecord:
     """Execute one task: all ranks run the identical program concurrently.
 
     Each rank is one lane, a KernelContext on one thread: the calling thread
-    runs rank 0 and one thread is started for each further rank.
+    runs rank 0 and one thread is started for each further rank. The lanes
+    append their events to a sink of the task's own; when the task ends,
+    those events go to `sink` in one step, and the returned record is derived
+    from them. It holds no slots: slots are the engine's to grant.
 
-    Raises KernelFailure if any rank fails; the failed record is still
-    appended to the sink. `assignment` is the slot-id list the engine granted
-    (informational here; exclusivity is the engine's job). A scratch made
-    here is cleaned up before returning.
+    Raises KernelFailure if any rank fails; the failed task's events still go
+    to the sink. A scratch made here is cleaned up before returning.
     """
     if sink is None:
         sink = MetricsSink()
@@ -187,24 +185,23 @@ def run_task(spec: TaskSpec, assignment=None, sink: MetricsSink | None = None,
         t0 = time.perf_counter()
         clock = lambda: time.perf_counter() - t0
     comm = Communicator(spec.num_ranks, timeout=collective_timeout)
-    totals = [{"bytes_read": 0, "bytes_written": 0, "wall_time": 0.0}
-              for _ in range(spec.num_ranks)]
+    local = MetricsSink()
     errors = []
 
     def lane(rank_id):
         ctx = KernelContext(
             rank_id=rank_id, comm=comm, scratch=scratch,
             rng=np.random.default_rng(rank_seed(seed, spec.name, rank_id)),
-            sink=sink, task_name=spec.name, clock=clock,
+            sink=local, task_name=spec.name, clock=clock,
             copy_bandwidth=copy_bandwidth)
         try:
-            _run_program(spec.program, ctx, totals[rank_id])
+            _run_program(spec.program, ctx)
         except BaseException as e:  # first failure aborts all ranks
             errors.append((rank_id, e))
             comm._barrier.abort()
 
-    start = clock()
-    sink.append({"kind": "task_start", "task": spec.name, "t": start})
+    local.append({"kind": "task_start", "task": spec.name, "t": clock(),
+                  "ranks": spec.num_ranks, "category": spec.category})
     threads = [threading.Thread(target=lane, args=(r,), name=f"{spec.name}-r{r}")
                for r in range(1, spec.num_ranks)]
     for t in threads:
@@ -212,22 +209,15 @@ def run_task(spec: TaskSpec, assignment=None, sink: MetricsSink | None = None,
     lane(0)
     for t in threads:
         t.join()
-    end = clock()
     status = "ok" if not errors else "failed"
-    sink.append({"kind": "task_end", "task": spec.name, "t": end, "status": status})
-    record = TaskRecord(
-        task_name=spec.name, start=start, end=end, ranks=spec.num_ranks,
-        slots_used=list(assignment or []),
-        bytes_read=sum(t["bytes_read"] for t in totals),
-        bytes_written=sum(t["bytes_written"] for t in totals),
-        status=status, category=spec.category)
-    sink.add_record(record)
+    local.append({"kind": "task_end", "task": spec.name, "t": clock(), "status": status})
+    sink.extend(local.events)
     if own_scratch:
         scratch.cleanup()
     if errors:
         rank_id, err = errors[0]
         raise KernelFailure(f"task {spec.name} rank {rank_id}: {err}") from err
-    return record
+    return task_records(local.events, [spec.name])[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,21 +1,30 @@
-"""Run traces: the append-only event log of a run and its task records.
+"""Run traces: the append-only event log of a run, and the task records
+derived from it.
 
 Events are plain dicts with a "kind" discriminator so they serialize
 directly to JSON Lines. All timestamps are seconds relative to run start
-(monotonic clock). The first line is a header carrying the run id, the
-pool and the trace's schema version; a header without one is schema 0,
-which has the same layout.
+(monotonic clock). A task's facts live in its events alone:
+- `task_start` (`t`, `ranks`, `category`) and `task_end` (`t`, `status`);
+- one `slot_busy` per slot it held;
+- one `kernel` event per kernel call of each rank, with exact byte counts.
+
+`task_records` derives a `TaskRecord` per task from them. The first line of
+a trace file is a header carrying the run id, the pool, the schema version
+and, from schema 2, `tasks`: the record names in declaration order. A
+schema-2 file holds events only and its records are derived on reading.
+Schemas 0 (no version field) and 1 also hold one `"record"` line per task;
+those lines are read as they are.
 """
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
-SCHEMA = 1
-KNOWN_SCHEMAS = (0, 1)
+SCHEMA = 2
+KNOWN_SCHEMAS = (0, 1, 2)
 # Lines decoded per json.loads call. The decoder keeps one object per
 # distinct key within a call, so a batch of events shares its key strings
 # where a call per line gave every event its own copies. A single call for
@@ -38,9 +47,6 @@ class TaskRecord:
     status: str = "ok"
     category: str = ""
 
-    def to_dict(self):
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d):
         return cls(**d)
@@ -52,15 +58,48 @@ class MetricsSink:
     def __init__(self):
         self._lock = threading.Lock()
         self.events = []
-        self.records = []
 
     def append(self, event: dict):
         with self._lock:
             self.events.append(event)
 
-    def add_record(self, record: TaskRecord):
+    def extend(self, events):
         with self._lock:
-            self.records.append(record)
+            self.events.extend(events)
+
+
+def task_records(events, names) -> list:
+    """One TaskRecord per name, in the order given, from the run's events.
+
+    Events of tasks not named are skipped. Raises ValueError when a named
+    task has no task_start or no task_end event."""
+    facts = {name: {"start": None, "end": None, "slots": [], "read": 0, "written": 0}
+             for name in names}
+    for e in events:
+        f = facts.get(e.get("task"))
+        if f is None:
+            continue
+        kind = e["kind"]
+        if kind == "kernel":
+            f["read"] += e["bytes_read"]
+            f["written"] += e["bytes_written"]
+        elif kind == "slot_busy":
+            f["slots"].append(e["slot"])
+        elif kind == "task_start":
+            f["start"] = e
+        elif kind == "task_end":
+            f["end"] = e
+    records = []
+    for name, f in facts.items():
+        start, end = f["start"], f["end"]
+        if start is None or end is None:
+            missing = "task_start" if start is None else "task_end"
+            raise ValueError(f"task {name!r} has no {missing} event")
+        records.append(TaskRecord(
+            task_name=name, start=start["t"], end=end["t"], ranks=start["ranks"],
+            slots_used=f["slots"], bytes_read=f["read"], bytes_written=f["written"],
+            status=end["status"], category=start["category"]))
+    return records
 
 
 @dataclass
@@ -121,16 +160,15 @@ class RunTrace:
         path = Path(path)
         with path.open("w", encoding="utf-8") as f:
             header = {"kind": "run", "schema": SCHEMA, "run_id": self.run_id,
-                      "pool": self.pool.to_dict()}
+                      "pool": self.pool.to_dict(),
+                      "tasks": [r.task_name for r in self.records]}
             f.write(json.dumps(header) + "\n")
             for ev in self.events:
                 f.write(json.dumps(ev) + "\n")
-            for rec in self.records:
-                f.write(json.dumps({"kind": "record", **rec.to_dict()}) + "\n")
 
     @classmethod
     def read_jsonl(cls, path):
-        run_id, pool, events, records = "run", None, [], []
+        run_id, pool, schema, names, events, records = "run", None, 0, None, [], []
         shared = {}
         with Path(path).open("r", encoding="utf-8") as f:
             lines = (line for line in f if not line.isspace())
@@ -147,6 +185,7 @@ class RunTrace:
                             raise ValueError(f"{path}: unknown trace schema {schema!r}")
                         run_id = obj["run_id"]
                         pool = ResourcePool.from_dict(obj["pool"])
+                        names = obj.get("tasks")
                     elif kind == "record":
                         obj.pop("kind")
                         records.append(TaskRecord.from_dict(obj))
@@ -158,4 +197,14 @@ class RunTrace:
                         events.append(obj)
         if pool is None:
             raise ValueError(f"{path}: missing run header line")
+        if schema >= 2:
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError(f"{path}: schema-{schema} header has no 'tasks' "
+                                 "list of names")
+            try:
+                records = task_records(events, names)
+            except KeyError as e:
+                raise ValueError(f"{path}: an event of a listed task lacks {e}") from None
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
         return cls(run_id=run_id, pool=pool, events=events, records=records)

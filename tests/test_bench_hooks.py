@@ -2,7 +2,8 @@
 entry points from outside, and `perfbench/layers.py` turns the spans into
 per-layer metrics. These tests run a small workflow under that tracing so a
 change to the names or call shapes it patches fails here, not only in a
-traced benchmark run."""
+traced benchmark run. The benchmark's correctness checks must pass on the
+run and on its re-read trace, whose records are derived from events."""
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ if str(PERFBENCH) not in sys.path:
 from wfmini import engine, exemplars, kernels, metrics, ops, tasks, trace  # noqa: E402
 from wfmini.trace import ResourcePool  # noqa: E402
 
+import checks  # noqa: E402
 import layers  # noqa: E402
 import spans  # noqa: E402
 
@@ -72,6 +74,13 @@ def test_trace_layer_spans_once_per_run(tmp_path):
     for name in ("trace.write", "trace.read", "metrics.summarize"):
         assert names.count(name) == 1, name
     assert back.events == run.events
+
+
+def test_checks_pass_on_the_run_and_its_re_read_trace(tmp_path):
+    spec, run, _, back = traced_run(tmp_path)
+    assert back.records == run.records
+    for t in (run, back):
+        assert checks.check_trace(spec, t, kernels.DEFAULT_COPY_BANDWIDTH) == []
 
 
 def test_layer_metrics_cover_every_per_layer_key(tmp_path):

@@ -321,6 +321,15 @@ def test_write_nonmpi_exact_bytes(isolated_scratch):
     assert path.stat().st_size == size
 
 
+def test_task_names_get_distinct_scratch_files(isolated_scratch):
+    scratch = Scratch(isolated_scratch)
+    names = ["a/b", "a_b", "a%2Fb", "a-r0", "..", ""]
+    paths = ([scratch.write_path(n, r) for n in names for r in (0, 1)]
+             + [scratch.shared_path(n) for n in names])
+    assert len(set(paths)) == len(paths)
+    assert {p.parent for p in paths} == {scratch.root}
+
+
 def test_read_nonmpi_exact_bytes(isolated_scratch):
     size = 3 * IO_BLOCK + 7
     res = execute_kernel(KernelCall("readNonMPI", {"data_size": size}),

@@ -3,8 +3,10 @@ arithmetic, variation statistics against a two-pass oracle, and trace
 serialization."""
 import json
 import math
+import re
 import statistics
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 
@@ -23,7 +25,14 @@ from wfmini.metrics import (
     utilization_timeline,
 )
 from wfmini.engine import execute, load_workflow
-from wfmini.trace import READ_BATCH, SCHEMA, ResourcePool, RunTrace, TaskRecord
+from wfmini.trace import (
+    READ_BATCH,
+    SCHEMA,
+    ResourcePool,
+    RunTrace,
+    TaskRecord,
+    task_records,
+)
 
 
 def make_trace(records, events=None, pool=None):
@@ -40,6 +49,19 @@ def record(name, start, end, read=0, write=0, category="work"):
 def slot_events(slot, task, start, end):
     return [{"kind": "slot_busy", "slot": slot, "task": task, "t": start},
             {"kind": "slot_idle", "slot": slot, "task": task, "t": end}]
+
+
+def task_start(task, t, category="work"):
+    return {"kind": "task_start", "task": task, "t": t, "ranks": 1, "category": category}
+
+
+def task_end(task, t, status="ok"):
+    return {"kind": "task_end", "task": task, "t": t, "status": status}
+
+
+def traced(events, names):
+    """A trace whose records are derived from its events, as a run's are."""
+    return make_trace(records=task_records(events, names), events=events)
 
 
 def summary(makespan, read, write, cpu=0.0, gpu=0.0, per_task=None):
@@ -152,17 +174,20 @@ def test_variation_needs_samples():
 
 
 def test_trace_jsonl_round_trip(tmp_path):
-    trace = make_trace(
-        records=[record("a", 0.0, 1.0, read=5, write=3)],
-        events=[{"kind": "task_start", "task": "a", "t": 0.0}]
-        + slot_events(["cpu", 0, 0], "a", 0.0, 1.0))
+    kernel = {"kind": "kernel", "task": "a", "rank": 0, "kernel": "readNonMPI",
+              "t_start": 0.1, "t_end": 0.9, "wall_time": 0.8, "bytes_read": 5,
+              "bytes_written": 3, "bytes_communicated": 0, "checksum": 0.0}
+    trace = traced([task_start("a", 0.0), kernel, task_end("a", 1.0)]
+                   + slot_events(["cpu", 0, 0], "a", 0.0, 1.0), ["a"])
     path = tmp_path / "trace.jsonl"
     trace.write_jsonl(path)
     back = RunTrace.read_jsonl(path)
     assert back.run_id == "test"
     assert back.pool.to_dict() == trace.pool.to_dict()
-    assert len(back.events) == 3
-    assert back.records[0].bytes_read == 5
+    assert len(back.events) == 5
+    assert back.records == trace.records == [TaskRecord(
+        task_name="a", start=0.0, end=1.0, ranks=1, slots_used=[["cpu", 0, 0]],
+        bytes_read=5, bytes_written=3, status="ok", category="work")]
     assert back.task_record("a").task_name == "a"
     with pytest.raises(KeyError):
         back.task_record("ghost")
@@ -176,16 +201,37 @@ def kernel_events(n):
              "checksum": 12345.678901 + i} for i in range(n)]
 
 
+def framed_kernel_trace(n):
+    """n kernel events between the start and end events of the tasks they
+    belong to (7 from n = 7 on), with the records derived from them."""
+    kernels = kernel_events(n)
+    names = list(dict.fromkeys(e["task"] for e in kernels))
+    end = kernels[-1]["t_end"]
+    events = ([task_start(name, 0.0) for name in names] + kernels
+              + [task_end(name, end) for name in names])
+    return traced(events, names)
+
+
 def test_trace_jsonl_round_trip_of_a_run(tmp_path):
+    # "b" is declared first but runs after "a": records and the header's task
+    # list keep declaration order, which completion order does not give
     spec = load_workflow({"tasks": [
-        {"name": "a", "program": [{"kernel": "RNG", "params": {"data_size": 64}},
-                                  {"kernel": "writeNonMPI", "params": {"data_size": 256}}]},
         {"name": "b", "num_ranks": 2, "program": [
-            {"kernel": "MPIallReduce", "params": {"data_size": 8}}]}],
+            {"kernel": "MPIallReduce", "params": {"data_size": 8}}]},
+        {"name": "a", "program": [{"kernel": "RNG", "params": {"data_size": 64}},
+                                  {"kernel": "writeNonMPI", "params": {"data_size": 256}}]}],
         "edges": [["a", "b"]]})
     run = execute(spec, ResourcePool(1, 2), seed=5)
+    assert [e["task"] for e in run.events if e["kind"] == "task_end"] == ["a", "b"]
+    assert [r.task_name for r in run.records] == ["b", "a"]
+    assert [r.slots_used for r in run.records] == [[["cpu", 0, 0], ["cpu", 0, 1]],
+                                                   [["cpu", 0, 0]]]
+    assert run.task_record("a").bytes_written == 256
     path = tmp_path / "trace.jsonl"
     run.write_jsonl(path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines[0]["schema"] == SCHEMA and lines[0]["tasks"] == ["b", "a"]
+    assert all(line["kind"] != "record" for line in lines)
     back = RunTrace.read_jsonl(path)
     assert back.events == run.events
     assert back.records == run.records
@@ -202,8 +248,8 @@ def test_trace_jsonl_round_trip_of_a_run(tmp_path):
 
 
 def test_read_jsonl_batches_blank_lines_and_malformed_input(tmp_path):
-    events = kernel_events(2 * READ_BATCH + 3)
-    trace = make_trace(records=[record("sim_0", 0.0, 1.0, read=5)], events=events)
+    trace = framed_kernel_trace(2 * READ_BATCH + 3)
+    events = trace.events
     path = tmp_path / "trace.jsonl"
     trace.write_jsonl(path)
     lines = path.read_text().splitlines(keepends=True)
@@ -214,7 +260,8 @@ def test_read_jsonl_batches_blank_lines_and_malformed_input(tmp_path):
         assert back.events == events
         assert back.records == trace.records
         # a key object per batch, not per event
-        assert len({id(k) for e in back.events for k in e}) <= 3 * len(events[0])
+        keys = {k for e in events for k in e}
+        assert len({id(k) for e in back.events for k in e}) <= 3 * len(keys)
 
     headless = tmp_path / "headless.jsonl"
     headless.write_text("".join(lines[1:]))
@@ -227,36 +274,74 @@ def test_read_jsonl_batches_blank_lines_and_malformed_input(tmp_path):
 
 
 def test_trace_schema_versions(tmp_path):
-    trace = make_trace(records=[], events=kernel_events(2))
+    trace = framed_kernel_trace(2)
     path = tmp_path / "trace.jsonl"
     trace.write_jsonl(path)
     header, *rest = path.read_text().splitlines(keepends=True)
-    assert json.loads(header)["schema"] == SCHEMA == 1
-    for schema, readable in ((None, True), (1, True), (2, False), ("1", False)):
+    assert json.loads(header)["schema"] == SCHEMA == 2
+    # schemas 0 and 1 carry no task list but one record line per task
+    record_lines = "".join(json.dumps({"kind": "record", **asdict(r)}) + "\n"
+                           for r in trace.records)
+    for schema, readable in ((None, True), (1, True), (2, True), (3, False), ("1", False)):
         doc = json.loads(header)
+        body = "".join(rest)
+        if schema in (None, 1):
+            del doc["tasks"]
+            body += record_lines
         if schema is None:
-            del doc["schema"]  # schema 0: the same layout without the field
+            del doc["schema"]  # schema 0: schema 1's layout without the field
         else:
             doc["schema"] = schema
-        path.write_text(json.dumps(doc) + "\n" + "".join(rest))
+        path.write_text(json.dumps(doc) + "\n" + body)
         if readable:
-            assert RunTrace.read_jsonl(path).events == trace.events
+            back = RunTrace.read_jsonl(path)
+            assert back.events == trace.events
+            assert back.records == trace.records
         else:
             with pytest.raises(ValueError, match="unknown trace schema"):
                 RunTrace.read_jsonl(path)
 
 
+def test_read_jsonl_rejects_schema_2_without_task_facts(tmp_path):
+    events = [task_start("a", 0.0), task_end("a", 1.0),
+              task_start("other", 0.0), task_end("other", 1.0)]
+    path = tmp_path / "trace.jsonl"
+    traced(events, ["a"]).write_jsonl(path)
+    header, *rest = path.read_text().splitlines(keepends=True)
+    back = RunTrace.read_jsonl(path)
+    # events of an unlisted task stay events and make no record
+    assert back.events == events
+    assert [r.task_name for r in back.records] == ["a"]
+
+    def rejected(doc, lines, match):
+        path.write_text(json.dumps(doc) + "\n" + "".join(lines))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + match):
+            RunTrace.read_jsonl(path)
+
+    doc = json.loads(header)
+    del doc["tasks"]
+    rejected(doc, rest, "no 'tasks' list")
+    rejected(dict(doc, tasks="a"), rest, "no 'tasks' list")
+    rejected(dict(doc, tasks=["a", "ghost"]), rest, "'ghost' has no task_start")
+    rejected(dict(doc, tasks=["a"]), rest[:1] + rest[2:], "'a' has no task_end")
+    start = dict(events[0])
+    del start["ranks"]
+    rejected(dict(doc, tasks=["a"]), [json.dumps(start) + "\n"] + rest[1:],
+             "lacks 'ranks'")
+
+
 def test_read_jsonl_memory_per_event(tmp_path):
     n = 2000
     path = tmp_path / "trace.jsonl"
-    make_trace(records=[], events=kernel_events(n)).write_jsonl(path)
+    framed_kernel_trace(n).write_jsonl(path)
     tracemalloc.start()
     try:
         back = RunTrace.read_jsonl(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(back.events) == n
+    assert len(back.events) == n + 14
+    assert len(back.records) == 7
     # a line-at-a-time decode peaks near 1400 B per event: private copies of
     # the 11 keys and of the repeated names
     assert peak / n < 800

@@ -14,7 +14,7 @@ from wfmini.tasks import (
     scale_task,
     task_seed,
 )
-from wfmini.trace import MetricsSink, ResourcePool
+from wfmini.trace import MetricsSink, ResourcePool, task_records
 
 MIB = 2 ** 20
 
@@ -102,22 +102,30 @@ def test_spmd_byte_additivity(isolated_scratch):
 
 def test_task_record_and_events():
     sink = MetricsSink()
-    spec = parse_task_spec(simple_doc())
-    record = run_task(spec, assignment=[("cpu", 0, 0)], sink=sink, seed=5)
-    assert record.status == "ok" and record.ranks == 1
-    assert record.slots_used == [("cpu", 0, 0)]
+    spec = parse_task_spec(simple_doc(num_ranks=2, program=[
+        {"kernel": "writeNonMPI", "params": {"data_size": 100}}]))
+    record = run_task(spec, sink=sink, seed=5)
+    assert record.status == "ok" and record.ranks == 2 and record.category == "work"
+    assert record.bytes_written == 200
+    assert record.slots_used == []  # slots are granted, and traced, by the engine
     kinds = [e["kind"] for e in sink.events]
-    assert kinds[0] == "task_start" and kinds[-1] == "task_end"
-    assert sink.records == [record]
+    assert kinds == ["task_start", "kernel", "kernel", "task_end"]
+    assert sink.events[0]["ranks"] == 2 and sink.events[0]["category"] == "work"
+    assert task_records(sink.events, ["t"]) == [record]
 
 
 def test_failed_task_records_failure():
     sink = MetricsSink()
-    spec = parse_task_spec(simple_doc(
-        program=[{"kernel": "fft", "params": {"data_size": 3}}]))
+    spec = parse_task_spec(simple_doc(program=[
+        {"kernel": "writeNonMPI", "params": {"data_size": 100}},
+        {"kernel": "readNonMPI", "params": {"data_size": 30}},
+        {"kernel": "fft", "params": {"data_size": 3}}]))
     with pytest.raises(KernelFailure):
         run_task(spec, sink=sink)
-    assert sink.records[0].status == "failed"
+    (record,) = task_records(sink.events, ["t"])
+    assert record.status == "failed"
+    # the kernels that completed before the failure
+    assert (record.bytes_read, record.bytes_written) == (30, 100)
 
 
 @pytest.fixture
