@@ -33,7 +33,7 @@ from .errors import (
     SizeMismatch,
     UnknownKernel,
 )
-from .trace import MetricsSink
+from .trace import KernelEvent, MetricsSink
 
 IO_BLOCK = 4 * 2 ** 20    # writes happen in 4 MiB blocks
 WORK_BLOCK = 64 * 2 ** 10  # float64 elements in a lane's work block (512 KiB)
@@ -358,14 +358,9 @@ def execute_kernel(call: KernelCall, ctx: KernelContext | None = None) -> Kernel
         agg.checksum = part.checksum
     agg.wall_time = wall
     if ctx.sink is not None:
-        ctx.sink.append({
-            "kind": "kernel", "task": ctx.task_name, "rank": ctx.rank_id,
-            "kernel": kdef.name, "t_start": t_start, "t_end": ctx.clock(),
-            "wall_time": wall, "bytes_read": agg.bytes_read,
-            "bytes_written": agg.bytes_written,
-            "bytes_communicated": agg.bytes_communicated,
-            "checksum": agg.checksum,
-        })
+        ctx.sink.append(KernelEvent(
+            ctx.task_name, ctx.rank_id, kdef.name, t_start, ctx.clock(), wall,
+            agg.bytes_read, agg.bytes_written, agg.bytes_communicated, agg.checksum))
     return agg
 
 

@@ -1,12 +1,15 @@
 """Run traces: the append-only event log of a run, and the task records
 derived from it.
 
-Events are plain dicts with a "kind" discriminator so they serialize
-directly to JSON Lines. All timestamps are seconds relative to run start
-(monotonic clock). A task's facts live in its events alone:
+Events are mappings with a "kind" discriminator, written one per line as
+JSON Lines. All timestamps are seconds relative to run start (monotonic
+clock). A task's facts live in its events alone:
 - `task_start` (`t`, `ranks`, `category`) and `task_end` (`t`, `status`);
 - one `slot_busy` per slot it held;
 - one `kernel` event per kernel call of each rank, with exact byte counts.
+
+Kernel events are most of a trace, so they are `KernelEvent`s: read-only
+mappings with slots, not dicts. The other kinds are plain dicts.
 
 `task_records` derives a `TaskRecord` per task from them. The first line of
 a trace file is a header carrying the run id, the pool, the schema version
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -31,8 +35,62 @@ KNOWN_SCHEMAS = (0, 1, 2)
 # the whole file would hold the text twice at the peak; a batch of 256 lines
 # keeps that copy to a few tens of KB.
 READ_BATCH = 256
-# event values that repeat across a run, shared through one dict per read
-SHARED_VALUES = ("kind", "task", "kernel")
+# values of the dict events that repeat across a run, shared through one
+# dict per read (a KernelEvent shares its task and kernel names through it)
+SHARED_VALUES = ("kind", "task")
+
+
+class KernelEvent(Mapping):
+    """The event of one kernel call on one rank: a read-only mapping of the
+    eleven keys in `KEYS`, which is also the order a trace line writes them.
+
+    A run emits one per kernel call and a re-read holds one per kernel line,
+    so the fields live in slots rather than in a dict's hash table. `kind`
+    is a class constant. Being a `Mapping`, an event indexes, iterates and
+    compares equal like the dict it renders (`dict(ev)`)."""
+
+    __slots__ = ("task", "rank", "kernel", "t_start", "t_end", "wall_time",
+                 "bytes_read", "bytes_written", "bytes_communicated", "checksum")
+    kind = "kernel"
+    KEYS = ("kind",) + __slots__
+    _KEY_SET = frozenset(KEYS)
+
+    def __init__(self, task, rank, kernel, t_start, t_end, wall_time,
+                 bytes_read, bytes_written, bytes_communicated, checksum):
+        self.task = task
+        self.rank = rank
+        self.kernel = kernel
+        self.t_start = t_start
+        self.t_end = t_end
+        self.wall_time = wall_time
+        self.bytes_read = bytes_read
+        self.bytes_written = bytes_written
+        self.bytes_communicated = bytes_communicated
+        self.checksum = checksum
+
+    def __getitem__(self, key):
+        if key in self._KEY_SET:
+            return getattr(self, key)
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(self.KEYS)
+
+    def __len__(self):
+        return len(self.KEYS)
+
+    def __repr__(self):
+        return f"KernelEvent({dict(self)!r})"
+
+
+def _render(obj):
+    """JSON encoder fallback: a KernelEvent renders as its dict."""
+    if isinstance(obj, KernelEvent):
+        return {key: getattr(obj, key) for key in obj.KEYS}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_encode = json.JSONEncoder(default=_render).encode
 
 
 @dataclass
@@ -46,10 +104,6 @@ class TaskRecord:
     bytes_written: int
     status: str = "ok"
     category: str = ""
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 class MetricsSink:
@@ -164,12 +218,20 @@ class RunTrace:
                       "tasks": [r.task_name for r in self.records]}
             f.write(json.dumps(header) + "\n")
             for ev in self.events:
-                f.write(json.dumps(ev) + "\n")
+                f.write(_encode(ev) + "\n")
 
     @classmethod
     def read_jsonl(cls, path):
         run_id, pool, schema, names, events, records = "run", None, 0, None, [], []
         shared = {}
+
+        def share(key, value):
+            try:
+                return shared.setdefault(value, value)
+            except TypeError:
+                raise ValueError(f"{path}: an event's {key!r} is {value!r}, "
+                                 "not a name") from None
+
         with Path(path).open("r", encoding="utf-8") as f:
             lines = (line for line in f if not line.isspace())
             while batch := list(islice(lines, READ_BATCH)):
@@ -179,21 +241,26 @@ class RunTrace:
                                      "JSON values; expected one per line")
                 for obj in objs:
                     kind = obj.get("kind")
-                    if kind == "run":
+                    if kind == "kernel":
+                        events.append(_kernel_event(obj, share, path))
+                    elif kind == "run":
                         schema = obj.get("schema", 0)
-                        if schema not in KNOWN_SCHEMAS:
+                        if type(schema) is not int or schema not in KNOWN_SCHEMAS:
                             raise ValueError(f"{path}: unknown trace schema {schema!r}")
                         run_id = obj["run_id"]
                         pool = ResourcePool.from_dict(obj["pool"])
                         names = obj.get("tasks")
                     elif kind == "record":
                         obj.pop("kind")
-                        records.append(TaskRecord.from_dict(obj))
+                        try:
+                            records.append(TaskRecord(**obj))
+                        except TypeError as e:
+                            raise ValueError(f"{path}: bad record line: {e}") from None
                     else:
                         for key in SHARED_VALUES:
                             value = obj.get(key)
                             if value is not None:
-                                obj[key] = shared.setdefault(value, value)
+                                obj[key] = share(key, value)
                         events.append(obj)
         if pool is None:
             raise ValueError(f"{path}: missing run header line")
@@ -208,3 +275,19 @@ class RunTrace:
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from None
         return cls(run_id=run_id, pool=pool, events=events, records=records)
+
+
+def _kernel_event(obj, share, path) -> KernelEvent:
+    """The KernelEvent of a decoded kernel line, which must hold exactly the
+    keys of `KernelEvent.KEYS`."""
+    try:
+        ev = KernelEvent(share("task", obj["task"]), obj["rank"],
+                         share("kernel", obj["kernel"]), obj["t_start"], obj["t_end"],
+                         obj["wall_time"], obj["bytes_read"], obj["bytes_written"],
+                         obj["bytes_communicated"], obj["checksum"])
+    except KeyError as e:
+        raise ValueError(f"{path}: a kernel event lacks {e}") from None
+    if len(obj) != len(KernelEvent.KEYS):
+        extra = sorted(obj.keys() - KernelEvent._KEY_SET)
+        raise ValueError(f"{path}: a kernel event has unknown field {extra[0]!r}")
+    return ev

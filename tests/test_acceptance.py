@@ -151,6 +151,7 @@ def test_criterion_3_dependency_safety():
 # --------------------------------------------------------------------------
 # 4. async execution beats sync by the critical-path prediction
 
+@pytest.mark.timing
 def test_criterion_4_async_speedup():
     sync = deep_drive_md_spec("sync", "V1", desk_scale=0.02)
     relaxed = deep_drive_md_spec("async", "V1", desk_scale=0.02)

@@ -28,6 +28,7 @@ from wfmini.engine import execute, load_workflow
 from wfmini.trace import (
     READ_BATCH,
     SCHEMA,
+    KernelEvent,
     ResourcePool,
     RunTrace,
     TaskRecord,
@@ -235,11 +236,9 @@ def test_trace_jsonl_round_trip_of_a_run(tmp_path):
     back = RunTrace.read_jsonl(path)
     assert back.events == run.events
     assert back.records == run.records
-    # one batch: every event's key strings and repeated values are shared
-    keys = {}
-    for e in back.events:
-        for k in e:
-            assert keys.setdefault(k, k) is k
+    # kernel events re-read as slotted rows, and repeated values are shared
+    kernel_lines = [e for e in back.events if e["kind"] == "kernel"]
+    assert kernel_lines and all(type(e) is KernelEvent for e in kernel_lines)
     values = {}
     for e in back.events:
         for k in ("kind", "task", "kernel"):
@@ -328,6 +327,26 @@ def test_read_jsonl_rejects_schema_2_without_task_facts(tmp_path):
     del start["ranks"]
     rejected(dict(doc, tasks=["a"]), [json.dumps(start) + "\n"] + rest[1:],
              "lacks 'ranks'")
+    rejected(dict(doc, tasks=["a"]), [json.dumps(dict(events[0], task=["a"])) + "\n"]
+             + rest[1:], r"'task' is \['a'\]")
+    rejected(dict(doc, tasks=["a"], schema=True), rest, "unknown trace schema True")
+    # schema 1: the record lines must carry exactly TaskRecord's fields
+    record = asdict(traced(events, ["a"]).records[0])
+    del record["ranks"]
+    rejected(dict(doc, schema=1), rest + [json.dumps({"kind": "record", **record}) + "\n"],
+             "bad record line.*'ranks'")
+    record.update(ranks=1, colour="red")
+    rejected(dict(doc, schema=1), rest + [json.dumps({"kind": "record", **record}) + "\n"],
+             "bad record line.*'colour'")
+    # a kernel line holds exactly the eleven kernel keys
+    kernel = kernel_events(1)[0]
+    kernel["task"] = "a"
+    del kernel["checksum"]
+    rejected(dict(doc, tasks=["a"]), [json.dumps(kernel) + "\n"] + rest,
+             "kernel event lacks 'checksum'")
+    kernel.update(checksum=1.0, colour="red")
+    rejected(dict(doc, tasks=["a"]), [json.dumps(kernel) + "\n"] + rest,
+             "kernel event has unknown field 'colour'")
 
 
 def test_read_jsonl_memory_per_event(tmp_path):
@@ -345,6 +364,51 @@ def test_read_jsonl_memory_per_event(tmp_path):
     # a line-at-a-time decode peaks near 1400 B per event: private copies of
     # the 11 keys and of the repeated names
     assert peak / n < 800
+
+
+def test_re_read_kernel_events_are_small_read_only_rows(tmp_path):
+    spec = load_workflow({"tasks": [
+        {"name": "a", "num_ranks": 2, "program": [{"loop": True, "count": 100, "body": [
+            {"kernel": "reduction", "params": {"data_size": 8}},
+            {"kernel": "axpy", "params": {"data_size": 8}},
+            {"kernel": "MPIallReduce", "params": {"data_size": 8}}]}]},
+        {"name": "b", "program": [{"kernel": "RNG", "params": {"data_size": 64}}]}],
+        "edges": [["a", "b"]]})
+    run = execute(spec, ResourcePool(1, 2), seed=5)
+    path = tmp_path / "trace.jsonl"
+    run.write_jsonl(path)
+    tracemalloc.start()
+    try:
+        back = RunTrace.read_jsonl(path)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back.events) == 601 + 10
+    # a dict per kernel event retains about 565 B: its 11-key table and values
+    assert retained / len(back.events) < 300
+
+    lines = path.read_text().splitlines()[1:]
+    for ev, line in zip(back.events, lines):
+        if ev["kind"] != "kernel":
+            continue
+        assert ev == dict(ev)
+        # the line layout trace files have always had: these keys in this order
+        as_dict = {
+            "kind": "kernel", "task": ev["task"], "rank": ev["rank"],
+            "kernel": ev["kernel"], "t_start": ev["t_start"], "t_end": ev["t_end"],
+            "wall_time": ev["wall_time"], "bytes_read": ev["bytes_read"],
+            "bytes_written": ev["bytes_written"],
+            "bytes_communicated": ev["bytes_communicated"],
+            "checksum": ev["checksum"],
+        }
+        assert json.dumps(dict(ev)) == json.dumps(as_dict) == line
+    ev = next(e for e in back.events if e["task"] == "b" and e["kind"] == "kernel")
+    assert ev["kernel"] == "RNG" and len(ev) == 11
+    with pytest.raises(TypeError):
+        ev["x"] = 1
+    with pytest.raises(KeyError):
+        ev["nope"]
+    assert ev.get("nope") is None and "nope" not in ev and "checksum" in ev
 
 
 def test_summary_round_trip():
