@@ -59,6 +59,9 @@ def _load_spec(args):
 
 
 def cmd_run(args):
+    if args.repeat < 1:
+        print("error: --repeat must be >= 1", file=sys.stderr)
+        return EXIT_USER
     spec = _load_spec(args)
     if args.resources:
         pool = ResourcePool.from_dict(_read_json(args.resources))

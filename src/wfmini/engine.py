@@ -238,14 +238,19 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
     failure = None
     serial = spec.execution_model == "serial"
 
+    # A task's events reach the run's log on this thread when its completion
+    # is taken. So one thread grows the log, and a task's events land just
+    # before its slot_idle events in the order completions are taken, not
+    # the order in which task threads end.
     def launch(task_spec):
         def body():
+            events = MetricsSink()
             try:
-                run_task(task_spec, sink=sink, seed=seed, clock=clock, scratch=scratch,
+                run_task(task_spec, sink=events, seed=seed, clock=clock, scratch=scratch,
                          copy_bandwidth=copy_bandwidth)
-                done_q.put((task_spec.name, None))
+                done_q.put((task_spec.name, events, None))
             except BaseException as e:  # SystemExit too, or the run waits forever
-                done_q.put((task_spec.name, e))
+                done_q.put((task_spec.name, events, e))
         threading.Thread(target=body, name=f"task-{task_spec.name}").start()
 
     while True:
@@ -267,7 +272,8 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
             launch(task_spec)
         if not running:
             break
-        name, err = done_q.get()
+        name, events, err = done_q.get()
+        sink.extend(events)
         slots = running.pop(name)
         now = clock()
         for s in slots:
@@ -288,7 +294,7 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
         raise TaskFailed(f"task {name} failed: {err}") from err
     # declaration order: completion order depends on thread timing
     return RunTrace(run_id=run_id or uuid.uuid4().hex[:12], pool=pool,
-                    events=sink.events, records=task_records(sink.events, spec.task_names))
+                    events=sink, records=task_records(sink, spec.task_names))
 
 
 # --------------------------------------------------------------------------

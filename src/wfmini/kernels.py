@@ -9,6 +9,7 @@ spent waiting in collectives is not.
 """
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import threading
@@ -33,7 +34,7 @@ from .errors import (
     SizeMismatch,
     UnknownKernel,
 )
-from .trace import KernelEvent, MetricsSink
+from .events import KernelEvent, MetricsSink
 
 IO_BLOCK = 4 * 2 ** 20    # writes happen in 4 MiB blocks
 WORK_BLOCK = 64 * 2 ** 10  # float64 elements in a lane's work block (512 KiB)
@@ -44,6 +45,23 @@ SEED_ENV = "WFMINI_SEED"
 DEFAULT_COPY_BANDWIDTH = 4 * 2 ** 30  # bytes/s for emulated host<->device copies
 
 
+def finite_number(value, label, positive=False) -> float:
+    """`value` as a float if it is a finite real number (> 0 when
+    `positive`); a bool, NaN or infinity raises InvalidParameter. JSON
+    documents can carry NaN and Infinity, and the dwell model sleeps on
+    these values."""
+    x = None
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            pass
+    if x is None or not math.isfinite(x) or (positive and x <= 0):
+        raise InvalidParameter(f"{label} must be a finite number{' > 0' if positive else ''}, "
+                               f"got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Device:
     kind: str = "host"
@@ -52,8 +70,7 @@ class Device:
     def __post_init__(self):
         if self.kind not in ("host", "accelerator"):
             raise InvalidParameter(f"unknown device kind {self.kind!r}")
-        if not isinstance(self.slowdown_factor, (int, float)) or self.slowdown_factor <= 0:
-            raise InvalidParameter(f"slowdown_factor must be > 0, got {self.slowdown_factor!r}")
+        finite_number(self.slowdown_factor, "slowdown_factor", positive=True)
         if self.kind == "host" and self.slowdown_factor != 1.0:
             raise InvalidParameter("host device must have slowdown_factor 1.0")
 
@@ -399,8 +416,9 @@ def _k_matmul_general(ctx, params):
         raise InvalidParameter("dim_list must be a list of (m, k, n) triples")
     checksum = 0.0
     for triple in dims:
-        if len(triple) != 3 or any((not isinstance(d, (int, np.integer))) or d < 1
-                                   for d in triple):
+        if (not isinstance(triple, (list, tuple)) or len(triple) != 3
+                or any(not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1
+                       for d in triple)):
             raise InvalidParameter(f"bad dimension triple {triple!r}")
         m, k, n = (int(d) for d in triple)
         a = ctx.operand(m * k).reshape(m, k)
@@ -414,7 +432,7 @@ def _k_fft(ctx, params):
     n = _positive_int(params, "data_size", minimum=0)
     if not ops.is_power_of_two(n) or n < 2:
         raise InvalidParameter(f"fft data_size must be a power of two >= 2, got {n}")
-    span = params.get("transform_dim", n)
+    span = _positive_int(params, "transform_dim", minimum=2) if "transform_dim" in params else n
     if not ops.is_power_of_two(span) or span < 2 or n % span:
         raise InvalidParameter(
             f"transform_dim must be a power of two >= 2 dividing data_size, got {span}")
@@ -430,7 +448,10 @@ def _k_rng(ctx, params):
     dist = params.get("distribution", "uniform")
     if dist not in ("uniform", "normal"):
         raise InvalidParameter(f"unknown distribution {dist!r}")
-    gen = np.random.default_rng(params["seed"]) if "seed" in params else ctx.rng
+    if "seed" in params:
+        gen = np.random.default_rng(_positive_int(params, "seed", minimum=0))
+    else:
+        gen = ctx.rng
     fill = gen.random if dist == "uniform" else gen.standard_normal
     # drawing block by block consumes the stream exactly as one whole draw
     # would; the checksum is the sum of the per-block sums
@@ -445,7 +466,7 @@ def _k_rng(ctx, params):
 
 def _k_axpy(ctx, params):
     n = _positive_int(params, "data_size")
-    a = params.get("a", 1.0)
+    a = finite_number(params.get("a", 1.0), "a")
     x = ctx.operand(n)
     y = ctx.operand(n)
     out = ops.axpy(a, x, y)
@@ -568,9 +589,8 @@ def _data_copy(ctx, params, direction):
         src[key] = seeded_buffer(ctx.rng, size, dtype=np.uint8)
     buf = src[key]
     ctx.pools[dst_pool][key] = buf.copy()
-    bandwidth = params.get("bandwidth", ctx.copy_bandwidth)
-    if not isinstance(bandwidth, (int, float)) or bandwidth <= 0:
-        raise InvalidParameter(f"bandwidth must be > 0, got {bandwidth!r}")
+    bandwidth = finite_number(params.get("bandwidth", ctx.copy_bandwidth), "bandwidth",
+                              positive=True)
     ctx.dwell(size / bandwidth)
     return KernelResult(checksum=float(buf.sum(dtype=np.float64)))
 

@@ -64,7 +64,8 @@ def _busy_intervals(trace: RunTrace):
     """Per slot id, the (start, end, task) intervals from busy/idle events."""
     open_at = {}
     intervals = {}
-    events = sorted((e for e in trace.events if e["kind"] in ("slot_busy", "slot_idle")),
+    events = sorted((e for e in trace.events.dict_events()
+                     if e["kind"] in ("slot_busy", "slot_idle")),
                     key=lambda e: e["t"])
     for e in events:
         key = _slot_key(e["slot"])

@@ -63,6 +63,6 @@ def reduction(x):
 
 
 def inplace_compute(functor, y):
-    if functor not in FUNCTORS:
+    if not isinstance(functor, str) or functor not in FUNCTORS:
         raise InvalidParameter(f"unknown functor {functor!r}; supported: {sorted(FUNCTORS)}")
     return FUNCTORS[functor](np.asarray(y, dtype=np.float64))

@@ -29,6 +29,7 @@ from .kernels import (
     Scratch,
     _CATALOG,
     execute_kernel,
+    finite_number,
 )
 from .trace import MetricsSink, TaskRecord, task_records
 
@@ -89,6 +90,8 @@ def _parse_step(doc, where):
         raise SchemaError(f"{where}: params must be an object")
     try:
         Device.parse(params.get("device", "host"))
+        if "bandwidth" in params:
+            finite_number(params["bandwidth"], "bandwidth", positive=True)
     except InvalidParameter as e:
         raise SchemaError(f"{where}: {e}")
     return ProgramStep(kind="kernel", kernel=KernelCall(name, dict(params)))
@@ -211,13 +214,13 @@ def run_task(spec: TaskSpec, sink: MetricsSink | None = None,
         t.join()
     status = "ok" if not errors else "failed"
     local.append({"kind": "task_end", "task": spec.name, "t": clock(), "status": status})
-    sink.extend(local.events)
+    sink.extend(local)
     if own_scratch:
         scratch.cleanup()
     if errors:
         rank_id, err = errors[0]
         raise KernelFailure(f"task {spec.name} rank {rank_id}: {err}") from err
-    return task_records(local.events, [spec.name])[0]
+    return task_records(local, [spec.name])[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Run traces: the append-only event log of a run, and the task records
-derived from it.
+"""Run traces: a run's event log with its pool and the task records derived
+from the events, and the JSON Lines file that holds them.
 
 Events are mappings with a "kind" discriminator, written one per line as
 JSON Lines. All timestamps are seconds relative to run start (monotonic
@@ -8,8 +8,8 @@ clock). A task's facts live in its events alone:
 - one `slot_busy` per slot it held;
 - one `kernel` event per kernel call of each rank, with exact byte counts.
 
-Kernel events are most of a trace, so they are `KernelEvent`s: read-only
-mappings with slots, not dicts. The other kinds are plain dicts.
+`RunTrace.events` is a `MetricsSink` (see `wfmini.events`): kernel events
+in typed columns, read as `KernelEvent` rows, and the other kinds as dicts.
 
 `task_records` derives a `TaskRecord` per task from them. The first line of
 a trace file is a header carrying the run id, the pool, the schema version
@@ -21,76 +21,18 @@ those lines are read as they are.
 from __future__ import annotations
 
 import json
-import threading
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
+# KernelEvent is re-exported: callers name the event types through trace
+from .events import READ_BATCH, KernelEvent, MetricsSink  # noqa: F401
+
 SCHEMA = 2
 KNOWN_SCHEMAS = (0, 1, 2)
-# Lines decoded per json.loads call. The decoder keeps one object per
-# distinct key within a call, so a batch of events shares its key strings
-# where a call per line gave every event its own copies. A single call for
-# the whole file would hold the text twice at the peak; a batch of 256 lines
-# keeps that copy to a few tens of KB.
-READ_BATCH = 256
-# values of the dict events that repeat across a run, shared through one
-# dict per read (a KernelEvent shares its task and kernel names through it)
-SHARED_VALUES = ("kind", "task")
-
-
-class KernelEvent(Mapping):
-    """The event of one kernel call on one rank: a read-only mapping of the
-    eleven keys in `KEYS`, which is also the order a trace line writes them.
-
-    A run emits one per kernel call and a re-read holds one per kernel line,
-    so the fields live in slots rather than in a dict's hash table. `kind`
-    is a class constant. Being a `Mapping`, an event indexes, iterates and
-    compares equal like the dict it renders (`dict(ev)`)."""
-
-    __slots__ = ("task", "rank", "kernel", "t_start", "t_end", "wall_time",
-                 "bytes_read", "bytes_written", "bytes_communicated", "checksum")
-    kind = "kernel"
-    KEYS = ("kind",) + __slots__
-    _KEY_SET = frozenset(KEYS)
-
-    def __init__(self, task, rank, kernel, t_start, t_end, wall_time,
-                 bytes_read, bytes_written, bytes_communicated, checksum):
-        self.task = task
-        self.rank = rank
-        self.kernel = kernel
-        self.t_start = t_start
-        self.t_end = t_end
-        self.wall_time = wall_time
-        self.bytes_read = bytes_read
-        self.bytes_written = bytes_written
-        self.bytes_communicated = bytes_communicated
-        self.checksum = checksum
-
-    def __getitem__(self, key):
-        if key in self._KEY_SET:
-            return getattr(self, key)
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(self.KEYS)
-
-    def __len__(self):
-        return len(self.KEYS)
-
-    def __repr__(self):
-        return f"KernelEvent({dict(self)!r})"
-
-
-def _render(obj):
-    """JSON encoder fallback: a KernelEvent renders as its dict."""
-    if isinstance(obj, KernelEvent):
-        return {key: getattr(obj, key) for key in obj.KEYS}
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-_encode = json.JSONEncoder(default=_render).encode
+# values that repeat across a run, shared through one dict per read: the
+# names the kernel columns index, and the dict events' kinds and tasks
+SHARED_VALUES = ("kind", "task", "kernel")
 
 
 @dataclass
@@ -106,52 +48,36 @@ class TaskRecord:
     category: str = ""
 
 
-class MetricsSink:
-    """Thread-safe collector of kernel/task/slot events."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.events = []
-
-    def append(self, event: dict):
-        with self._lock:
-            self.events.append(event)
-
-    def extend(self, events):
-        with self._lock:
-            self.events.extend(events)
-
-
 def task_records(events, names) -> list:
-    """One TaskRecord per name, in the order given, from the run's events.
+    """One TaskRecord per name, in the order given, from the run's events (a
+    log, or any sequence of events, which is converted to one).
 
     Events of tasks not named are skipped. Raises ValueError when a named
     task has no task_start or no task_end event."""
-    facts = {name: {"start": None, "end": None, "slots": [], "read": 0, "written": 0}
-             for name in names}
-    for e in events:
+    log = events if isinstance(events, MetricsSink) else MetricsSink(events)
+    facts = {name: {"start": None, "end": None, "slots": []} for name in names}
+    for e in log.dict_events():
         f = facts.get(e.get("task"))
         if f is None:
             continue
         kind = e["kind"]
-        if kind == "kernel":
-            f["read"] += e["bytes_read"]
-            f["written"] += e["bytes_written"]
-        elif kind == "slot_busy":
+        if kind == "slot_busy":
             f["slots"].append(e["slot"])
         elif kind == "task_start":
             f["start"] = e
         elif kind == "task_end":
             f["end"] = e
+    moved = log.bytes_by_task()
     records = []
     for name, f in facts.items():
         start, end = f["start"], f["end"]
         if start is None or end is None:
             missing = "task_start" if start is None else "task_end"
             raise ValueError(f"task {name!r} has no {missing} event")
+        read, written = moved.get(name, (0, 0))
         records.append(TaskRecord(
             task_name=name, start=start["t"], end=end["t"], ranks=start["ranks"],
-            slots_used=f["slots"], bytes_read=f["read"], bytes_written=f["written"],
+            slots_used=f["slots"], bytes_read=read, bytes_written=written,
             status=end["status"], category=start["category"]))
     return records
 
@@ -201,8 +127,12 @@ class ResourcePool:
 class RunTrace:
     run_id: str
     pool: ResourcePool
-    events: list = field(default_factory=list)
+    events: MetricsSink = field(default_factory=MetricsSink)
     records: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if not isinstance(self.events, MetricsSink):
+            self.events = MetricsSink(self.events)
 
     def task_record(self, name) -> TaskRecord:
         for r in self.records:
@@ -217,12 +147,12 @@ class RunTrace:
                       "pool": self.pool.to_dict(),
                       "tasks": [r.task_name for r in self.records]}
             f.write(json.dumps(header) + "\n")
-            for ev in self.events:
-                f.write(_encode(ev) + "\n")
+            f.writelines(self.events.lines())
 
     @classmethod
     def read_jsonl(cls, path):
-        run_id, pool, schema, names, events, records = "run", None, 0, None, [], []
+        run_id, pool, schema, names, records = "run", None, 0, None, []
+        log = MetricsSink()
         shared = {}
 
         def share(key, value):
@@ -239,11 +169,14 @@ class RunTrace:
                 if len(objs) != len(batch):
                     raise ValueError(f"{path}: {len(batch)} lines hold {len(objs)} "
                                      "JSON values; expected one per line")
+                events = []
                 for obj in objs:
+                    for key in SHARED_VALUES:
+                        value = obj.get(key)
+                        if value is not None:
+                            obj[key] = share(key, value)
                     kind = obj.get("kind")
-                    if kind == "kernel":
-                        events.append(_kernel_event(obj, share, path))
-                    elif kind == "run":
+                    if kind == "run":
                         schema = obj.get("schema", 0)
                         if type(schema) is not int or schema not in KNOWN_SCHEMAS:
                             raise ValueError(f"{path}: unknown trace schema {schema!r}")
@@ -257,11 +190,11 @@ class RunTrace:
                         except TypeError as e:
                             raise ValueError(f"{path}: bad record line: {e}") from None
                     else:
-                        for key in SHARED_VALUES:
-                            value = obj.get(key)
-                            if value is not None:
-                                obj[key] = share(key, value)
                         events.append(obj)
+                try:
+                    log.extend(events)
+                except ValueError as e:
+                    raise ValueError(f"{path}: {e}") from None
         if pool is None:
             raise ValueError(f"{path}: missing run header line")
         if schema >= 2:
@@ -269,25 +202,10 @@ class RunTrace:
                 raise ValueError(f"{path}: schema-{schema} header has no 'tasks' "
                                  "list of names")
             try:
-                records = task_records(events, names)
+                records = task_records(log, names)
             except KeyError as e:
                 raise ValueError(f"{path}: an event of a listed task lacks {e}") from None
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from None
-        return cls(run_id=run_id, pool=pool, events=events, records=records)
+        return cls(run_id=run_id, pool=pool, events=log, records=records)
 
-
-def _kernel_event(obj, share, path) -> KernelEvent:
-    """The KernelEvent of a decoded kernel line, which must hold exactly the
-    keys of `KernelEvent.KEYS`."""
-    try:
-        ev = KernelEvent(share("task", obj["task"]), obj["rank"],
-                         share("kernel", obj["kernel"]), obj["t_start"], obj["t_end"],
-                         obj["wall_time"], obj["bytes_read"], obj["bytes_written"],
-                         obj["bytes_communicated"], obj["checksum"])
-    except KeyError as e:
-        raise ValueError(f"{path}: a kernel event lacks {e}") from None
-    if len(obj) != len(KernelEvent.KEYS):
-        extra = sorted(obj.keys() - KernelEvent._KEY_SET)
-        raise ValueError(f"{path}: a kernel event has unknown field {extra[0]!r}")
-    return ev

@@ -76,6 +76,14 @@ def test_trace_layer_spans_once_per_run(tmp_path):
     assert back.events == run.events
 
 
+def test_sink_append_runs_once_per_event(tmp_path):
+    # the benchmark counts trace.events as the spans of this one hook; the
+    # hand-off of a task's events and the re-read append none
+    _, run, rec, back = traced_run(tmp_path)
+    appends = [s for s in rec.spans if s.name == "trace.append"]
+    assert len(appends) == len(run.events) == len(back.events) == 16
+
+
 def test_checks_pass_on_the_run_and_its_re_read_trace(tmp_path):
     spec, run, _, back = traced_run(tmp_path)
     assert back.records == run.records

@@ -58,6 +58,21 @@ def test_kernels_bench_needs_name():
     assert main(["kernels", "bench"]) == EXIT_USER
 
 
+def test_kernels_bench_needs_a_trial(capsys):
+    assert main(["kernels", "bench", "--name", "RNG", "--trials", "0"]) == EXIT_USER
+    assert "--trials must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_run_needs_a_repeat(tmp_path, tiny_workflow, resources, capsys, repeat):
+    out = tmp_path / "out"
+    rc = main(["run", "--workflow", tiny_workflow, "--resources", resources,
+               "--out", str(out), "--repeat", repeat])
+    assert rc == EXIT_USER
+    assert "--repeat must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_workflow(tmp_path, tiny_workflow, resources):
     out = tmp_path / "out"
     rc = main(["run", "--workflow", tiny_workflow, "--resources", resources,

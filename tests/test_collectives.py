@@ -94,7 +94,7 @@ def test_allreduce_kernel_ring_bytes():
         "program": [{"kernel": "MPIallReduce", "params": {"data_size": 5}}]})
     sink = MetricsSink()
     run_task(spec, sink=sink)
-    events = [e for e in sink.events if e.get("kind") == "kernel"]
+    events = [e for e in sink if e.get("kind") == "kernel"]
     assert len(events) == 4
     for ev in events:
         assert ev["bytes_communicated"] == 5 * ELEMENT_WIDTH * 3
@@ -106,7 +106,7 @@ def test_allgather_kernel_all_ranks_agree():
         "program": [{"kernel": "MPIallGather", "params": {"data_size": 7}}]})
     sink = MetricsSink()
     run_task(spec, sink=sink)
-    sums = {e["checksum"] for e in sink.events if e.get("kind") == "kernel"}
+    sums = {e["checksum"] for e in sink if e.get("kind") == "kernel"}
     assert len(sums) == 1  # every rank sees the identical gathered buffer
 
 
@@ -154,6 +154,6 @@ def test_accelerator_slowdown_does_not_scale_collective_wait():
     t0 = time.perf_counter()
     run_task(spec, sink=sink, collective_timeout=10)
     assert time.perf_counter() - t0 < 5.0
-    waits = [e["wall_time"] for e in sink.events
+    waits = [e["wall_time"] for e in sink
              if e.get("kind") == "kernel" and e["kernel"] == "MPIallReduce"]
     assert len(waits) == 12 and max(waits) < 1.0

@@ -354,6 +354,20 @@ def test_slot_events_balanced():
     assert len(busy) == len(idle) == 2
 
 
+def test_each_task_events_end_in_its_slot_release():
+    # a task's events reach the run's log when the engine takes its
+    # completion: one contiguous block, then that task's slot_idle events
+    names = [f"t{i}" for i in range(8)]
+    spec = wf(names, [], **{n: {"ranks": 1 + i % 2} for i, n in enumerate(names)})
+    events = list(execute(spec, ResourcePool(1, 3), seed=0).events)
+    for name in names:
+        at = [i for i, e in enumerate(events) if e["task"] == name and e["kind"] != "slot_busy"]
+        kinds = [events[i]["kind"] for i in at]
+        ranks = 1 + names.index(name) % 2
+        assert at == list(range(at[0], at[0] + len(at))), name
+        assert kinds == ["task_start"] + ["kernel"] * ranks + ["task_end"] + ["slot_idle"] * ranks
+
+
 def test_run_id_and_pool_in_trace():
     spec = wf(["a"], [])
     trace = execute(spec, ResourcePool(1, 2), seed=0, run_id="demo")

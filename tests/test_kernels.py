@@ -287,7 +287,7 @@ def test_lane_draws_operands_once_per_shape(monkeypatch):
             {"kernel": "axpy", "params": {"data_size": 10_000}}]}]})
     sink = MetricsSink()
     run_task(spec, sink=sink)
-    sums = [e["checksum"] for e in sink.events if e.get("kind") == "kernel"]
+    sums = [e["checksum"] for e in sink if e.get("kind") == "kernel"]
     assert calls == [10_000, 10_000]  # x and y, drawn on the first call only
     assert len(sums) == 5 and len(set(sums)) == 1
 
@@ -513,6 +513,41 @@ def test_device_validation():
         Device.parse(17)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kernel,params", [
+    ("fft", {"data_size": 16, "transform_dim": 4.0}),
+    ("fft", {"data_size": 16, "transform_dim": "4"}),
+    ("RNG", {"data_size": 8, "seed": 1.5}),
+    ("axpy", {"data_size": 8, "a": "x"}),
+    ("axpy", {"data_size": 8, "a": NAN}),
+    ("inplaceCompute", {"data_size": 8, "functor": ["square"]}),
+    ("matMulGeneral", {"dim_list": [[True, 2, 2]]}),
+    ("matMulGeneral", {"dim_list": [4]}),
+], ids=["fft-float-dim", "fft-text-dim", "rng-float-seed", "axpy-text-a", "axpy-nan-a",
+        "functor-list", "matmul-bool-dim", "matmul-bare-dim"])
+def test_mistyped_kernel_parameters_are_invalid(kernel, params):
+    with pytest.raises(InvalidParameter):
+        execute_kernel(KernelCall(kernel, params), ctx=ctx_with())
+
+
+@pytest.mark.parametrize("bad", [True, NAN, INF, 0, "fast"])
+def test_dwell_model_rejects_bool_and_non_finite_inputs(bad):
+    ctx = ctx_with(copy_bandwidth=1e9)
+    with pytest.raises(InvalidParameter, match="bandwidth"):
+        execute_kernel(KernelCall("dataCopyH2D", {"data_size": 64, "bandwidth": bad}), ctx=ctx)
+    # nothing was slept, so no oversleep credit was recorded
+    assert ctx._overslept == 0.0
+    with pytest.raises(InvalidParameter, match="bandwidth"):
+        execute_kernel(KernelCall("dataCopyD2H", {"data_size": 64}),
+                       ctx=ctx_with(copy_bandwidth=bad))
+    with pytest.raises(InvalidParameter, match="slowdown_factor"):
+        Device(kind="accelerator", slowdown_factor=bad)
+    with pytest.raises(InvalidParameter, match="slowdown_factor"):
+        run("reduction", data_size=8, device={"kind": "accelerator", "slowdown_factor": bad})
+
+
 def test_accelerator_scales_wall_time():
     host = run("reduction", data_size=200_000, repetitions=20)
     accel = run("reduction", data_size=200_000, repetitions=20,
@@ -572,7 +607,7 @@ def test_kernel_event_emitted():
     sink = MetricsSink()
     execute_kernel(KernelCall("RNG", {"data_size": 10}),
                    ctx=ctx_with(sink=sink, task_name="t0"))
-    assert len(sink.events) == 1
-    ev = sink.events[0]
+    assert len(sink) == 1
+    ev = sink[0]
     assert ev["kind"] == "kernel" and ev["kernel"] == "RNG" and ev["task"] == "t0"
     assert ev["t_end"] >= ev["t_start"]

@@ -1,6 +1,8 @@
 """Metric derivation: summaries from synthetic traces, published-ratio
 arithmetic, variation statistics against a two-pass oracle, and trace
 serialization."""
+import copy
+import gc
 import json
 import math
 import re
@@ -29,6 +31,7 @@ from wfmini.trace import (
     READ_BATCH,
     SCHEMA,
     KernelEvent,
+    MetricsSink,
     ResourcePool,
     RunTrace,
     TaskRecord,
@@ -366,15 +369,20 @@ def test_read_jsonl_memory_per_event(tmp_path):
     assert peak / n < 800
 
 
-def test_re_read_kernel_events_are_small_read_only_rows(tmp_path):
+def looped_run(count):
+    """A function running a two-task workflow of 6 * count + 1 kernel events."""
     spec = load_workflow({"tasks": [
-        {"name": "a", "num_ranks": 2, "program": [{"loop": True, "count": 100, "body": [
+        {"name": "a", "num_ranks": 2, "program": [{"loop": True, "count": count, "body": [
             {"kernel": "reduction", "params": {"data_size": 8}},
             {"kernel": "axpy", "params": {"data_size": 8}},
             {"kernel": "MPIallReduce", "params": {"data_size": 8}}]}]},
         {"name": "b", "program": [{"kernel": "RNG", "params": {"data_size": 64}}]}],
         "edges": [["a", "b"]]})
-    run = execute(spec, ResourcePool(1, 2), seed=5)
+    return lambda: execute(spec, ResourcePool(1, 2), seed=5)
+
+
+def test_re_read_kernel_events_are_small_read_only_rows(tmp_path):
+    run = looped_run(100)()
     path = tmp_path / "trace.jsonl"
     run.write_jsonl(path)
     tracemalloc.start()
@@ -409,6 +417,100 @@ def test_re_read_kernel_events_are_small_read_only_rows(tmp_path):
     with pytest.raises(KeyError):
         ev["nope"]
     assert ev.get("nope") is None and "nope" not in ev and "checksum" in ev
+
+
+def live_kernel_events():
+    return sum(type(o) is KernelEvent for o in gc.get_objects())
+
+
+def test_a_run_log_holds_no_object_per_kernel_event():
+    run_once = looped_run(200)
+    run_once()
+    before = live_kernel_events()
+    run = run_once()
+    kernels = 3 * 200 * 2 + 1
+    assert len(run.events) == kernels + 10
+    assert live_kernel_events() == before
+    ev = run.events[-3]     # task b: start, its one kernel, end, slot release
+    assert type(ev) is KernelEvent and ev["kernel"] == "RNG"
+    assert live_kernel_events() == before + 1
+
+
+def test_a_run_log_retains_under_100_bytes_per_kernel_event():
+    run_once = looped_run(200)
+    run_once()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run = run_once()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kernels = sum(e["kind"] == "kernel" for e in run.events)
+    # everything the run keeps, records and dict events included; a
+    # KernelEvent row per event retains about 217 B
+    assert retained / kernels < 100
+
+
+def test_the_log_reads_as_a_sequence_of_its_events():
+    events = framed_kernel_trace(9).events
+    plain = list(events)
+    log = MetricsSink(plain)
+    assert log == plain and plain == log and log == tuple(plain) and log == events
+    assert log != plain[:-1] and log != plain[::-1] and log != "text"
+    assert len(log) == 9 + 14
+    assert log[0] is plain[0] and log[-1] is plain[-1]
+    assert log[7] == plain[7] and type(log[7]) is KernelEvent
+    assert list(reversed(log)) == plain[::-1]
+    with pytest.raises(IndexError):
+        log[len(plain)]
+    assert RunTrace("r", ResourcePool(1, 1), plain) == RunTrace("r", ResourcePool(1, 1), log)
+    # another log's columns append with their names re-indexed
+    tail = MetricsSink(kernel_events(3)[::-1])
+    log.extend(tail)
+    log += [task_start("x", 1.0)]
+    assert log == plain + kernel_events(3)[::-1] + [task_start("x", 1.0)]
+    log.remove(plain[7])
+    log.remove(plain[0])
+    assert log == plain[1:7] + plain[8:] + kernel_events(3)[::-1] + [task_start("x", 1.0)]
+    assert copy.deepcopy(log) == log
+
+
+def test_the_log_rejects_values_its_columns_cannot_hold(tmp_path):
+    log = MetricsSink()
+    good = kernel_events(1)[0]
+    for key, value in (("rank", 1.5), ("checksum", "x"), ("bytes_read", 2 ** 64)):
+        with pytest.raises(ValueError, match=f"'{key}' is {value!r}"):
+            log.append(dict(good, **{key: value}))
+        assert len(log) == 0 and log == []
+    log.append(good)
+    assert log == [good]
+    path = tmp_path / "trace.jsonl"
+    framed_kernel_trace(1).write_jsonl(path)
+    header, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(rest).replace('"rank": 0', '"rank": 0.5'))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*'rank' is 0.5"):
+        RunTrace.read_jsonl(path)
+
+
+def test_kernel_lines_render_as_json_dumps_of_their_dicts(tmp_path):
+    name = 'sim "é"\n'
+    events = [task_start(name, 0.0)]
+    for i, value in enumerate((0.1, float("nan"), float("inf"), -float("inf"), 1e16, 5e-324)):
+        events.append(dict(kernel_events(1)[0], task=name, kernel=f"k{i % 2}",
+                           t_start=value, checksum=value, bytes_read=2 ** 62 + i))
+    events.append(task_end(name, 1.0))
+    trace = traced(events, [name])
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path)
+    assert path.read_text().splitlines(keepends=True)[1:] == \
+        [json.dumps(e) + "\n" for e in events]
+    back = RunTrace.read_jsonl(path)
+    assert back.records == trace.records and len(back.events) == len(events)
+    again = tmp_path / "again.jsonl"
+    back.write_jsonl(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_summary_round_trip():

@@ -1,5 +1,6 @@
 """Task runtime: spec parsing, SPMD execution, seeding, and parameter
 scaling/addressing."""
+import json
 import threading
 
 import pytest
@@ -77,12 +78,25 @@ def test_accelerator_kernels_need_gpus():
 
 @pytest.mark.parametrize("device", [
     "tpu", {"kind": "accelerator", "slowdown_factor": 0},
-    {"kind": "accelerator", "slowdown_factor": "2"}, 17],
-    ids=["tpu", "zero-slowdown", "text-slowdown", "number"])
+    {"kind": "accelerator", "slowdown_factor": "2"}, 17,
+    {"kind": "accelerator", "slowdown_factor": True},
+    {"kind": "accelerator", "slowdown_factor": float("nan")},
+    {"kind": "accelerator", "slowdown_factor": float("inf")}],
+    ids=["tpu", "zero-slowdown", "text-slowdown", "number", "bool-slowdown",
+         "nan-slowdown", "inf-slowdown"])
 def test_parse_rejects_bad_device_naming_the_step(device):
     doc = simple_doc(gpus_per_rank=1, program=[{"loop": True, "count": 2, "body": [
         {"kernel": "axpy", "params": {"data_size": 8, "device": device}}]}])
     with pytest.raises(SchemaError, match=r"t\.program\.0\.body\.0"):
+        parse_task_spec(doc)
+
+
+@pytest.mark.parametrize("bandwidth", ["true", "NaN", "Infinity", "-1"])
+def test_parse_rejects_bad_copy_bandwidth(bandwidth):
+    # json.loads reads NaN and Infinity, so a workflow document can hold them
+    doc = json.loads('{"name": "t", "program": [{"kernel": "dataCopyH2D", "params": '
+                     '{"data_size": 8, "bandwidth": %s}}]}' % bandwidth)
+    with pytest.raises(SchemaError, match=r"t\.program\.0: bandwidth"):
         parse_task_spec(doc)
 
 
@@ -108,10 +122,10 @@ def test_task_record_and_events():
     assert record.status == "ok" and record.ranks == 2 and record.category == "work"
     assert record.bytes_written == 200
     assert record.slots_used == []  # slots are granted, and traced, by the engine
-    kinds = [e["kind"] for e in sink.events]
+    kinds = [e["kind"] for e in sink]
     assert kinds == ["task_start", "kernel", "kernel", "task_end"]
-    assert sink.events[0]["ranks"] == 2 and sink.events[0]["category"] == "work"
-    assert task_records(sink.events, ["t"]) == [record]
+    assert sink[0]["ranks"] == 2 and sink[0]["category"] == "work"
+    assert task_records(sink, ["t"]) == [record]
 
 
 def test_failed_task_records_failure():
@@ -122,7 +136,7 @@ def test_failed_task_records_failure():
         {"kernel": "fft", "params": {"data_size": 3}}]))
     with pytest.raises(KernelFailure):
         run_task(spec, sink=sink)
-    (record,) = task_records(sink.events, ["t"])
+    (record,) = task_records(sink, ["t"])
     assert record.status == "failed"
     # the kernels that completed before the failure
     assert (record.bytes_read, record.bytes_written) == (30, 100)
@@ -149,7 +163,7 @@ def test_run_task_runs_rank_zero_on_the_calling_thread(thread_starts, ranks):
         {"kernel": "MPIallReduce", "params": {"data_size": 4}}]))
     run_task(spec, sink=sink)
     assert len(thread_starts) == ranks - 1
-    assert sorted(e["rank"] for e in sink.events if e["kind"] == "kernel") == \
+    assert sorted(e["rank"] for e in sink if e["kind"] == "kernel") == \
         list(range(ranks))
 
 
@@ -187,7 +201,7 @@ def test_rank_lanes_decorrelate_but_reproduce():
     def checksums():
         sink = MetricsSink()
         run_task(spec, sink=sink, seed=11)
-        return sorted((e["rank"], e["checksum"]) for e in sink.events
+        return sorted((e["rank"], e["checksum"]) for e in sink
                       if e["kind"] == "kernel")
 
     first = checksums()
