@@ -23,7 +23,7 @@ from .errors import (
 )
 from .kernels import DEFAULT_COPY_BANDWIDTH, Scratch
 from .tasks import TaskSpec, parse_task_spec, run_task
-from .trace import MetricsSink, ResourcePool, RunTrace, task_records
+from .trace import MetricsSink, ResourcePool, RunTrace
 
 EXECUTION_MODELS = ("serial", "parallel", "sync", "async")
 
@@ -59,18 +59,32 @@ class WorkflowConfig:
         return cls(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkflowSpec:
-    tasks: list = field(default_factory=list)
-    edges: list = field(default_factory=list)  # (predecessor, successor) names
+    tasks: tuple = ()
+    edges: tuple = ()  # (predecessor, successor) names
     phases: int = 1
     execution_model: str = "parallel"
 
+    def __post_init__(self):
+        fields = self.__dict__  # frozen: fields are set past __setattr__
+        fields["tasks"] = tuple(fields["tasks"])
+        fields["edges"] = tuple(fields["edges"])
+
+    @property
+    def index(self) -> DagIndex:
+        """The DAG index, built on first use and kept. Not a cached_property:
+        on Python 3.11 its first access takes a lock, 1.5 µs or more."""
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = self.__dict__["_index"] = DagIndex(self)
+        return index
+
     def task(self, name) -> TaskSpec:
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        raise UnknownTaskReference(name)
+        at = self.index.pos.get(name)
+        if at is None:
+            raise UnknownTaskReference(name)
+        return self.tasks[at]
 
     @property
     def task_names(self):
@@ -80,6 +94,51 @@ class WorkflowSpec:
         return {"execution_model": self.execution_model, "phases": self.phases,
                 "tasks": [t.to_dict() for t in self.tasks],
                 "edges": [list(e) for e in self.edges]}
+
+
+class DagIndex:
+    """A spec's DAG by declaration position: `pos` (name -> position), the
+    `names`, each task's `preds` and `succs` (a repeated edge repeats) and
+    the topological `order`, by Kahn's algorithm: sources in declaration
+    order, then tasks as their last predecessor releases them."""
+
+    _cycle = None  # the names along one cycle, if the edges hold one
+
+    def __init__(self, spec: WorkflowSpec):
+        self.pos = pos = {t.name: i for i, t in enumerate(spec.tasks)}
+        if len(pos) < len(spec.tasks):
+            raise SchemaError("duplicate task names in workflow")
+        self.names = names = list(pos)
+        self.preds = preds = [[] for _ in names]
+        self.succs = succs = [[] for _ in names]
+        for p, s in spec.edges:
+            p, s = pos[p], pos[s]
+            preds[s].append(p)
+            succs[p].append(s)
+        indeg = list(map(len, preds))
+        self._order = order = [i for i, d in enumerate(indeg) if not d]
+        for i in order:  # order grows as tasks are released
+            for s in succs[i]:
+                indeg[s] -= 1
+                if not indeg[s]:
+                    order.append(s)
+        if len(order) < len(indeg):
+            # every left-over task has a left-over predecessor, so walking back
+            # through them must repeat a task; the walk from there is a cycle
+            i = next(i for i, d in enumerate(indeg) if d)
+            walk, seen = [], {}
+            while i not in seen:
+                seen[i] = len(walk)
+                walk.append(i)
+                i = next(p for p in preds[i] if indeg[p])
+            self._cycle = [names[j] for j in [i] + walk[seen[i]:][::-1]]
+
+    @property
+    def order(self) -> list:
+        """Raises CycleDetected, reporting one cycle, if the edges hold one."""
+        if self._cycle is not None:
+            raise CycleDetected(self._cycle)
+        return self._order
 
 
 def load_workflow(document) -> WorkflowSpec:
@@ -110,48 +169,15 @@ def load_workflow(document) -> WorkflowSpec:
     return WorkflowSpec(tasks=tasks, edges=edges, phases=phases, execution_model=model)
 
 
-def _graph(spec: WorkflowSpec):
-    """Per-task predecessor and successor lists; a repeated edge repeats."""
-    preds = {name: [] for name in spec.task_names}
-    succs = {name: [] for name in preds}
-    for p, s in spec.edges:
-        preds[s].append(p)
-        succs[p].append(s)
-    return preds, succs
-
-
-def _kahn(preds, succs):
-    """Topological order by Kahn's algorithm: sources in declaration order,
-    then tasks as their last predecessor releases them. Raises CycleDetected
-    (reporting one cycle) when tasks are left over."""
-    indeg = {name: len(ps) for name, ps in preds.items()}
-    order = [name for name, d in indeg.items() if d == 0]
-    for name in order:  # order grows as tasks are released
-        for s in succs[name]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                order.append(s)
-    if len(order) < len(indeg):
-        # every left-over task has a left-over predecessor, so walking back
-        # through them must repeat a task; the walk from there is a cycle
-        name = next(n for n, d in indeg.items() if d)
-        walk, seen = [], {}
-        while name not in seen:
-            seen[name] = len(walk)
-            walk.append(name)
-            name = next(p for p in preds[name] if indeg[p])
-        raise CycleDetected([name] + walk[seen[name]:][::-1])
-    return order
-
-
 def validate_dag(spec: WorkflowSpec):
     """Raise CycleDetected (reporting one cycle) unless the edge relation is
     acyclic."""
-    _kahn(*_graph(spec))
+    spec.index.order
 
 
 def topological_order(spec: WorkflowSpec):
-    return _kahn(*_graph(spec))
+    index = spec.index
+    return [index.names[i] for i in index.order]
 
 
 def critical_path(spec: WorkflowSpec, durations: dict) -> float:
@@ -159,12 +185,12 @@ def critical_path(spec: WorkflowSpec, durations: dict) -> float:
     missing = set(spec.task_names) - set(durations)
     if missing:
         raise KeyError(f"durations missing for tasks: {sorted(missing)}")
-    preds, succs = _graph(spec)
-    finish = {}
-    for name in _kahn(preds, succs):
-        start = max((finish[p] for p in preds[name]), default=0.0)
-        finish[name] = start + durations[name]
-    return max(finish.values(), default=0.0)
+    index = spec.index
+    finish = [0.0] * len(index.names)
+    for i in index.order:
+        start = max((finish[p] for p in index.preds[i]), default=0.0)
+        finish[i] = start + durations[index.names[i]]
+    return max(finish, default=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -226,15 +252,13 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
     clock = lambda: time.perf_counter() - t0
     bank = _SlotBank(pool)
     done_q = queue.Queue()
-    by_name = {t.name: t for t in spec.tasks}
-    pos = {name: i for i, name in enumerate(by_name)}
-    preds, succs = _graph(spec)
-    pending = {name: len(ps) for name, ps in preds.items()}
+    index = spec.index
+    pending = [len(ps) for ps in index.preds]
     ready = {}  # slot demand -> heap of declaration positions
-    for t in spec.tasks:
-        if not pending[t.name]:
-            heapq.heappush(ready.setdefault(_demand(t), []), pos[t.name])
-    running = {}  # name -> slots
+    for i, t in enumerate(spec.tasks):
+        if not pending[i]:
+            heapq.heappush(ready.setdefault(_demand(t), []), i)
+    running = {}  # position -> slots
     failure = None
     serial = spec.execution_model == "serial"
 
@@ -242,15 +266,17 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
     # is taken. So one thread grows the log, and a task's events land just
     # before its slot_idle events in the order completions are taken, not
     # the order in which task threads end.
-    def launch(task_spec):
+    def launch(i):
+        task_spec = spec.tasks[i]
+
         def body():
             events = MetricsSink()
             try:
                 run_task(task_spec, sink=events, seed=seed, clock=clock, scratch=scratch,
                          copy_bandwidth=copy_bandwidth)
-                done_q.put((task_spec.name, events, None))
+                done_q.put((i, events, None))
             except BaseException as e:  # SystemExit too, or the run waits forever
-                done_q.put((task_spec.name, events, e))
+                done_q.put((i, events, e))
         threading.Thread(target=body, name=f"task-{task_spec.name}").start()
 
     while True:
@@ -262,19 +288,21 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
             heads = [h for h in ready.values() if h and bank.fits(spec.tasks[h[0]])]
             if not heads:
                 break
-            task_spec = spec.tasks[heapq.heappop(min(heads, key=lambda h: h[0]))]
+            i = heapq.heappop(min(heads, key=lambda h: h[0]))
+            task_spec = spec.tasks[i]
             slots = bank.take(task_spec)
             now = clock()
             for s in slots:
                 sink.append({"kind": "slot_busy", "slot": list(s),
                              "task": task_spec.name, "t": now})
-            running[task_spec.name] = slots
-            launch(task_spec)
+            running[i] = slots
+            launch(i)
         if not running:
             break
-        name, events, err = done_q.get()
+        i, events, err = done_q.get()
         sink.extend(events)
-        slots = running.pop(name)
+        slots = running.pop(i)
+        name = index.names[i]
         now = clock()
         for s in slots:
             sink.append({"kind": "slot_idle", "slot": list(s), "task": name, "t": now})
@@ -282,19 +310,19 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
         if err is not None:
             failure = (name, err)
         else:
-            for s in succs[name]:
+            for s in index.succs[i]:
                 pending[s] -= 1
                 if pending[s] == 0:
-                    heapq.heappush(ready.setdefault(_demand(by_name[s]), []), pos[s])
+                    heapq.heappush(ready.setdefault(_demand(spec.tasks[s]), []), s)
 
     if own_scratch:
         scratch.cleanup()
     if failure is not None:
         name, err = failure
         raise TaskFailed(f"task {name} failed: {err}") from err
-    # declaration order: completion order depends on thread timing
+    # records in declaration order: completion order depends on thread timing
     return RunTrace(run_id=run_id or uuid.uuid4().hex[:12], pool=pool,
-                    events=sink, records=task_records(sink, spec.task_names))
+                    events=sink, tasks=spec.task_names)
 
 
 # --------------------------------------------------------------------------
@@ -331,18 +359,13 @@ def async_overlap(spec: WorkflowSpec) -> WorkflowSpec:
 
 
 def fitting_pool(spec: WorkflowSpec) -> ResourcePool:
-    """A single-node pool large enough for the spec's execution model:
-    the max single task for serial, the widest phase otherwise."""
-    if spec.execution_model == "serial":
-        sizes = [_demand(t) for t in spec.tasks]
-    else:
-        groups = {}  # phase -> summed (cpu, gpu) demand
-        for t in spec.tasks:
-            cpu, gpu = groups.get(t.phase, (0, 0))
-            n_cpu, n_gpu = _demand(t)
-            groups[t.phase] = (cpu + n_cpu, gpu + n_gpu)
-        sizes = groups.values()
-    cpu = max(c for c, _ in sizes)
-    gpu = max(g for _, g in sizes)
-    return ResourcePool(num_nodes=1, cpus_per_node=max(cpu, 1),
-                        gpus_per_node=gpu)
+    """A single-node pool large enough for the widest group of tasks that
+    may run at once: a phase, or under the serial model a single task."""
+    serial = spec.execution_model == "serial"
+    cpus, gpus = {}, {}  # phase, or position under serial -> summed _demand
+    for i, t in enumerate(spec.tasks):
+        key = i if serial else t.phase
+        cpus[key] = cpus.get(key, 0) + t.num_ranks * t.cpus_per_rank
+        gpus[key] = gpus.get(key, 0) + t.num_ranks * t.gpus_per_rank
+    return ResourcePool(num_nodes=1, cpus_per_node=max(max(cpus.values()), 1),
+                        gpus_per_node=max(gpus.values()))

@@ -92,7 +92,8 @@ class MetricsSink(Sequence):
     list. Other events are kept as the dicts they are, with their positions
     in an order column. Reading an index or iterating materialises each
     kernel event as a `KernelEvent` row; the log compares equal to any
-    sequence of equal events.
+    sequence of equal events. Two logs with the same name list compare
+    column by column, so a NaN equals a NaN in the same place.
 
     `append` is the one way a single event enters a log. A kernel event may
     be a `KernelEvent` or a mapping of exactly its keys; its values must fit
@@ -224,6 +225,14 @@ class MetricsSink(Sequence):
                 yield event
 
     def __eq__(self, other):
+        if self is other:
+            return True
+        if isinstance(other, MetricsSink) and self._names == other._names:
+            # column by column, so a NaN equals a NaN in the same place
+            return (len(self) == len(other) and self._dict_at == other._dict_at
+                    and self._dicts == other._dicts
+                    and all(a == b or all(x == y or x != x and y != y for x, y in zip(a, b))
+                            for a, b in zip(self._columns, other._columns)))
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))

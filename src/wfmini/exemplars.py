@@ -90,8 +90,12 @@ def inverse_problem_spec(model: str, config: str,
                          rank_scale: float | None = None) -> WorkflowSpec:
     """Workflow spec for the alternating simulation/training family."""
     ex = ExemplarId("inverse_problem", model, config, desk_scale)
-    rank_scale = desk_scale if rank_scale is None else rank_scale
-    s = ex.desk_scale
+    return _inverse_problem(ex, rank_scale)
+
+
+def _inverse_problem(ex: ExemplarId, rank_scale: float | None) -> WorkflowSpec:
+    model, config, s = ex.model, ex.config, ex.desk_scale
+    rank_scale = s if rank_scale is None else rank_scale
     data_scale = IP_DATA_SCALE[config]
     epochs = IP_EPOCHS[model][config]
     on_gpu = model == "serial_cpu_gpu"
@@ -158,11 +162,14 @@ def inverse_problem_spec(model: str, config: str,
 
 
 def deep_drive_md_spec(model: str, config: str,
-                       desk_scale: float = DEFAULT_DESK_SCALE,
-                       rank_scale: float | None = None) -> WorkflowSpec:
-    """Workflow spec for the MD-simulation/training/selection/agent family."""
-    ex = ExemplarId("deepdrivemd", model, config, desk_scale)
-    s = ex.desk_scale
+                       desk_scale: float = DEFAULT_DESK_SCALE) -> WorkflowSpec:
+    """Workflow spec for the MD-simulation/training/selection/agent family.
+    Its rank counts are fixed, so it takes no rank scale."""
+    return _deep_drive_md(ExemplarId("deepdrivemd", model, config, desk_scale))
+
+
+def _deep_drive_md(ex: ExemplarId) -> WorkflowSpec:
+    model, config, s = ex.model, ex.config, ex.desk_scale
     phases = DDMD_PHASES[config]
     epochs = DDMD_EPOCHS[config]
     md_steps = max(1, int(DDMD_STEPS[config] * s))
@@ -267,8 +274,8 @@ def build(selector: str, desk_scale: float = DEFAULT_DESK_SCALE,
     "ip:serial_cpu:V1" or "ddmd:async:V2"."""
     ex = _exemplar_id(selector, desk_scale)
     if ex.family == "inverse_problem":
-        return inverse_problem_spec(ex.model, ex.config, desk_scale, rank_scale)
-    return deep_drive_md_spec(ex.model, ex.config, desk_scale, rank_scale)
+        return _inverse_problem(ex, rank_scale)
+    return _deep_drive_md(ex)
 
 
 def default_config(selector: str) -> WorkflowConfig:

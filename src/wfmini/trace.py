@@ -1,5 +1,5 @@
-"""Run traces: a run's event log with its pool and the task records derived
-from the events, and the JSON Lines file that holds them.
+"""Run traces: a run's event log with its pool and the names of its tasks,
+the task records derived from them, and the JSON Lines file that holds them.
 
 Events are mappings with a "kind" discriminator, written one per line as
 JSON Lines. All timestamps are seconds relative to run start (monotonic
@@ -11,17 +11,20 @@ clock). A task's facts live in its events alone:
 `RunTrace.events` is a `MetricsSink` (see `wfmini.events`): kernel events
 in typed columns, read as `KernelEvent` rows, and the other kinds as dicts.
 
-`task_records` derives a `TaskRecord` per task from them. The first line of
-a trace file is a header carrying the run id, the pool, the schema version
-and, from schema 2, `tasks`: the record names in declaration order. A
-schema-2 file holds events only and its records are derived on reading.
-Schemas 0 (no version field) and 1 also hold one `"record"` line per task;
-those lines are read as they are.
+`task_records` derives a `TaskRecord` per task from them, the one builder
+of records: `RunTrace.records` calls it on first access and keeps the list.
+The first line of a trace file is a header carrying the run id, the pool,
+the schema version and, from schema 2, `tasks`: the record names in
+declaration order. A schema-2 file holds events only. Schemas 0 (no version
+field) and 1 name no tasks in the header and hold one `"record"` line per
+task instead, whose `ranks` and `category` their `task_start` events lack;
+reading folds those two into the task's `task_start` and drops the line.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -123,35 +126,49 @@ class ResourcePool:
                    gpus_per_node=d.get("gpus_per_node", 0))
 
 
+# the keys a schema-0/1 record line may and must carry: TaskRecord's fields
+RECORD_KEYS = {f.name for f in fields(TaskRecord)}
+REQUIRED_RECORD_KEYS = {f.name for f in fields(TaskRecord) if f.default is MISSING}
+
+
 @dataclass
 class RunTrace:
+    """A run: its id, pool, event log and `tasks`, the names of its records
+    in declaration order. `records` is derived from the events on first
+    access and kept."""
+
     run_id: str
     pool: ResourcePool
     events: MetricsSink = field(default_factory=MetricsSink)
-    records: list = field(default_factory=list)
+    tasks: list = field(default_factory=list)
 
     def __post_init__(self):
         if not isinstance(self.events, MetricsSink):
             self.events = MetricsSink(self.events)
 
+    @cached_property
+    def records(self) -> list:
+        return task_records(self.events, self.tasks)
+
+    @cached_property
+    def _record_of(self) -> dict:
+        return {r.task_name: r for r in self.records}
+
     def task_record(self, name) -> TaskRecord:
-        for r in self.records:
-            if r.task_name == name:
-                return r
-        raise KeyError(name)
+        return self._record_of[name]
 
     def write_jsonl(self, path):
         path = Path(path)
         with path.open("w", encoding="utf-8") as f:
             header = {"kind": "run", "schema": SCHEMA, "run_id": self.run_id,
-                      "pool": self.pool.to_dict(),
-                      "tasks": [r.task_name for r in self.records]}
+                      "pool": self.pool.to_dict(), "tasks": self.tasks}
             f.write(json.dumps(header) + "\n")
             f.writelines(self.events.lines())
 
     @classmethod
     def read_jsonl(cls, path):
-        run_id, pool, schema, names, records = "run", None, 0, None, []
+        run_id, pool, schema, names = "run", None, 0, None
+        folds = {}  # schema 0/1: task name -> its record line
         log = MetricsSink()
         shared = {}
 
@@ -184,11 +201,11 @@ class RunTrace:
                         pool = ResourcePool.from_dict(obj["pool"])
                         names = obj.get("tasks")
                     elif kind == "record":
-                        obj.pop("kind")
-                        try:
-                            records.append(TaskRecord(**obj))
-                        except TypeError as e:
-                            raise ValueError(f"{path}: bad record line: {e}") from None
+                        del obj["kind"]
+                        if not REQUIRED_RECORD_KEYS <= obj.keys() <= RECORD_KEYS:
+                            raise ValueError(f"{path}: bad record line: keys {sorted(obj)}, "
+                                             f"expected TaskRecord's {sorted(RECORD_KEYS)}")
+                        folds[obj["task_name"]] = obj
                     else:
                         events.append(obj)
                 try:
@@ -197,15 +214,20 @@ class RunTrace:
                     raise ValueError(f"{path}: {e}") from None
         if pool is None:
             raise ValueError(f"{path}: missing run header line")
-        if schema >= 2:
-            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                raise ValueError(f"{path}: schema-{schema} header has no 'tasks' "
-                                 "list of names")
-            try:
-                records = task_records(log, names)
-            except KeyError as e:
-                raise ValueError(f"{path}: an event of a listed task lacks {e}") from None
-            except ValueError as e:
-                raise ValueError(f"{path}: {e}") from None
-        return cls(run_id=run_id, pool=pool, events=log, records=records)
-
+        if schema < 2:
+            names = list(folds)
+            for e in log.dict_events():
+                if e.get("kind") == "task_start" and e.get("task") in folds:
+                    record = folds[e["task"]]
+                    e.update(ranks=record["ranks"], category=record.get("category", ""))
+        elif not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"{path}: schema-{schema} header has no 'tasks' "
+                             "list of names")
+        trace = cls(run_id=run_id, pool=pool, events=log, tasks=names)
+        try:
+            trace.records  # so a file that lacks a task fact fails here
+        except KeyError as e:
+            raise ValueError(f"{path}: an event of a listed task lacks {e}") from None
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        return trace

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfmini import engine
+from wfmini import engine, exemplars
 from wfmini.engine import (
     WorkflowSpec,
     async_overlap,
@@ -89,6 +89,42 @@ def test_validate_dag_reports_cycle(names, edges, loop):
     assert cycle[0] == cycle[-1] and set(cycle) == loop
     assert len(cycle) == len(loop) + 1
     assert all(edge in edges for edge in zip(cycle, cycle[1:]))
+
+
+def test_one_dag_index_per_spec(monkeypatch):
+    builds = []
+    init = engine.DagIndex.__init__
+
+    def counted(self, spec):
+        builds.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(engine.DagIndex, "__init__", counted)
+    spec = wf(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    validate_dag(spec)
+    execute(spec, ResourcePool(1, 2), seed=0)
+    assert builds == [spec]
+    assert topological_order(spec) == ["a", "b", "c"]
+    assert critical_path(spec, {"a": 1.0, "b": 2.0, "c": 3.0}) == 4.0
+    assert spec.task("c") is spec.tasks[2]
+    with pytest.raises(UnknownTaskReference):
+        spec.task("ghost")
+    assert builds == [spec]
+    # a spec that was never validated: execute builds its index once
+    fresh = wf(["a", "b"], [("a", "b")])
+    execute(fresh, ResourcePool(1, 1), seed=0)
+    assert builds == [spec, fresh]
+    # a spec made from another builds its own on first use
+    relaxed = replace(spec, execution_model="serial")
+    assert builds == [spec, fresh]
+    validate_dag(relaxed)
+    assert len(builds) == 3 and builds[-1] is relaxed
+
+
+def test_a_spec_built_with_a_repeated_name_is_rejected():
+    spec = wf(["a", "b"], [("a", "b")])
+    with pytest.raises(SchemaError, match="duplicate task names"):
+        execute(replace(spec, tasks=spec.tasks + spec.tasks[:1]), ResourcePool(1, 1), seed=0)
 
 
 def test_long_chain_needs_no_recursion():
@@ -429,6 +465,31 @@ def test_fitting_pool_serial_vs_parallel():
         task_doc("a", ranks=3, phase=1), task_doc("b", ranks=2, phase=1)],
         "edges": []})
     assert fitting_pool(par).num_cpu_slots == 5
+
+
+# fitting_pool at the code before its serial and phase branches became one
+# loop: (cpus, gpus) per desk scale, the same for every configuration
+PARENT_POOLS = {
+    "ip:serial_cpu": {0.02: (2, 0), 0.08: (10, 0), 1.0: (128, 0)},
+    "ip:serial_cpu_gpu": {0.02: (2, 1), 0.08: (10, 1), 1.0: (128, 16)},
+    "ip:parallel_cpu": {0.02: (3, 0), 0.08: (11, 0), 1.0: (132, 0)},
+    "ddmd:sync": dict.fromkeys((0.02, 0.08, 1.0), (15, 14)),
+    "ddmd:async": dict.fromkeys((0.02, 0.08, 1.0), (15, 14)),
+}
+
+
+@pytest.mark.parametrize("selector, desk_scale", [
+    (f"{model}:{config}", desk_scale)
+    for model, configs in (("ip:serial_cpu", "V1 V2 V3"), ("ip:serial_cpu_gpu", "V1 V2 V3"),
+                           ("ip:parallel_cpu", "V1 V2 V3"), ("ddmd:sync", "V1 V2"),
+                           ("ddmd:async", "V1 V2"))
+    for config in configs.split()
+    for desk_scale in (0.02, 0.08, 1.0)])
+def test_fitting_pool_of_every_exemplar(selector, desk_scale):
+    pool = fitting_pool(exemplars.build(selector, desk_scale=desk_scale))
+    model = selector.rsplit(":", 1)[0]
+    assert pool.num_nodes == 1
+    assert (pool.cpus_per_node, pool.gpus_per_node) == PARENT_POOLS[model][desk_scale]
 
 
 # --------------------------------------------------------------------------

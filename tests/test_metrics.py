@@ -27,6 +27,7 @@ from wfmini.metrics import (
     utilization_timeline,
 )
 from wfmini.engine import execute, load_workflow
+from wfmini.kernels import KernelResult, catalog_names, register_kernel
 from wfmini.trace import (
     READ_BATCH,
     SCHEMA,
@@ -35,19 +36,7 @@ from wfmini.trace import (
     ResourcePool,
     RunTrace,
     TaskRecord,
-    task_records,
 )
-
-
-def make_trace(records, events=None, pool=None):
-    return RunTrace(run_id="test", pool=pool or ResourcePool(1, 2),
-                    events=events or [], records=records)
-
-
-def record(name, start, end, read=0, write=0, category="work"):
-    return TaskRecord(task_name=name, start=start, end=end, ranks=1,
-                      slots_used=[], bytes_read=read, bytes_written=write,
-                      category=category)
 
 
 def slot_events(slot, task, start, end):
@@ -63,9 +52,19 @@ def task_end(task, t, status="ok"):
     return {"kind": "task_end", "task": task, "t": t, "status": status}
 
 
-def traced(events, names):
-    """A trace whose records are derived from its events, as a run's are."""
-    return make_trace(records=task_records(events, names), events=events)
+def task_events(task, start, end, read=0, write=0):
+    """The start, one kernel and the end of a task moving these bytes."""
+    kernel = {"kind": "kernel", "task": task, "rank": 0, "kernel": "readNonMPI",
+              "t_start": start, "t_end": end, "wall_time": end - start, "bytes_read": read,
+              "bytes_written": write, "bytes_communicated": 0, "checksum": 0.0}
+    return [task_start(task, start), kernel, task_end(task, end)]
+
+
+def traced(events, names, pool=None):
+    """A trace of these events with records for these task names, derived
+    from the events as a run's are."""
+    return RunTrace(run_id="test", pool=pool or ResourcePool(1, 2), events=events,
+                    tasks=names)
 
 
 def summary(makespan, read, write, cpu=0.0, gpu=0.0, per_task=None):
@@ -75,11 +74,11 @@ def summary(makespan, read, write, cpu=0.0, gpu=0.0, per_task=None):
 
 
 def test_summarize_basic():
-    trace = make_trace(
-        records=[record("a", 0.0, 4.0, read=100, write=10),
-                 record("b", 4.0, 10.0, read=50, write=20)],
-        events=slot_events(["cpu", 0, 0], "a", 0.0, 4.0)
-        + slot_events(["cpu", 0, 0], "b", 4.0, 10.0))
+    trace = traced(
+        task_events("a", 0.0, 4.0, read=100, write=10)
+        + task_events("b", 4.0, 10.0, read=50, write=20)
+        + slot_events(["cpu", 0, 0], "a", 0.0, 4.0)
+        + slot_events(["cpu", 0, 0], "b", 4.0, 10.0), ["a", "b"])
     s = summarize(trace)
     assert s.makespan == 10.0
     assert s.read_bytes == 150 and s.write_bytes == 30
@@ -90,10 +89,8 @@ def test_summarize_basic():
 
 def test_summarize_gpu_utilization():
     pool = ResourcePool(1, 1, gpus_per_node=2)
-    trace = make_trace(
-        records=[record("g", 0.0, 2.0)],
-        events=slot_events(["gpu", 0, 0], "g", 0.0, 1.0),
-        pool=pool)
+    trace = traced(task_events("g", 0.0, 2.0) + slot_events(["gpu", 0, 0], "g", 0.0, 1.0),
+                   ["g"], pool=pool)
     s = summarize(trace)
     # one of two gpu slots busy half the makespan
     assert s.gpu_util_pct == pytest.approx(25.0)
@@ -101,17 +98,16 @@ def test_summarize_gpu_utilization():
 
 def test_summarize_empty_trace():
     with pytest.raises(EmptyTrace):
-        summarize(make_trace([]))
+        summarize(traced([], []))
     with pytest.raises(EmptyTrace):
-        utilization_timeline(make_trace([]))
+        utilization_timeline(traced([], []))
     with pytest.raises(EmptyTrace):
-        io_timeline(make_trace([]))
+        io_timeline(traced([], []))
 
 
 def test_timelines():
-    trace = make_trace(
-        records=[record("a", 0.0, 1.0, read=5), record("b", 1.0, 2.0, write=7)],
-        events=slot_events(["cpu", 0, 0], "a", 0.0, 1.0))
+    trace = traced(task_events("a", 0.0, 1.0, read=5) + task_events("b", 1.0, 2.0, write=7)
+                   + slot_events(["cpu", 0, 0], "a", 0.0, 1.0), ["a", "b"])
     util = utilization_timeline(trace)
     assert util == {"cpu-0-0": [(0.0, 1.0, "a")]}
     segs = io_timeline(trace)
@@ -247,6 +243,22 @@ def test_trace_jsonl_round_trip_of_a_run(tmp_path):
         for k in ("kind", "task", "kernel"):
             if k in e:
                 assert values.setdefault(e[k], e[k]) is e[k]
+
+
+def test_a_nan_checksum_survives_the_round_trip(tmp_path):
+    name = "returnsNaN"
+    if name not in catalog_names():
+        register_kernel(name, lambda ctx, params: KernelResult(checksum=float("nan")))
+    spec = load_workflow({"tasks": [{"name": "a", "program": [{"kernel": name}]}]})
+    run = execute(spec, ResourcePool(1, 1), seed=0)
+    path = tmp_path / "trace.jsonl"
+    run.write_jsonl(path)
+    back = RunTrace.read_jsonl(path)
+    (ev,) = (e for e in back.events if e["kind"] == "kernel")
+    assert math.isnan(ev["checksum"])
+    assert run.events == run.events and back.events == run.events
+    assert back.events != MetricsSink(dict(e, checksum=0.0) if e["kind"] == "kernel" else e
+                                      for e in run.events)
 
 
 def test_read_jsonl_batches_blank_lines_and_malformed_input(tmp_path):
@@ -448,8 +460,8 @@ def test_a_run_log_retains_under_100_bytes_per_kernel_event():
     finally:
         tracemalloc.stop()
     kernels = sum(e["kind"] == "kernel" for e in run.events)
-    # everything the run keeps, records and dict events included; a
-    # KernelEvent row per event retains about 217 B
+    # everything the run keeps, dict events included (records are built on
+    # first access); a KernelEvent row per event retains about 217 B
     assert retained / kernels < 100
 
 
