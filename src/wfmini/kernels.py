@@ -215,7 +215,9 @@ class KernelContext:
     """Per-rank execution context handed to every kernel: one rank lane.
 
     The host/device pools, work block, operand memo and dwell clock are
-    lane state, kept for the context's life. The default scratch manager
+    lane state, kept for the context's life. Both pools map a copy buffer's
+    name to one shared read-only `(seed block, size, checksum)` entry; the
+    buffer is the block tiled to `size` bytes. The default scratch manager
     (see `files`) and the work block are built on first use, so a context
     that runs only compute kernels touches no file system."""
 
@@ -393,7 +395,8 @@ def seeded_buffer(rng, n, dtype=np.float64):
     Tiling a block of at most 4 Ki values keeps rank lanes from serializing
     on the GIL-held generator while staying reproducible: each call makes
     one block draw. Kernels get their operands through
-    `KernelContext.operand`, which calls this once per lane and shape."""
+    `KernelContext.operand`, which calls this once per lane and shape; data
+    copies call it with n at most the block size and keep only the block."""
     m = min(n, _SEED_BLOCK)
     if dtype == np.uint8:
         block = rng.integers(0, 256, m, dtype=np.uint8)
@@ -579,20 +582,24 @@ def _k_allgather(ctx, params):
 
 def _data_copy(ctx, params, direction):
     size = _positive_int(params, "data_size", minimum=0)
+    bandwidth = finite_number(params.get("bandwidth", ctx.copy_bandwidth), "bandwidth",
+                              positive=True)
     if size == 0:
         return KernelResult()
     src_pool, dst_pool = (("host", "device") if direction == "h2d"
                           else ("device", "host"))
     key = params.get("buffer", "default")
-    src = ctx.pools[src_pool]
-    if key not in src or src[key].size != size:
-        src[key] = seeded_buffer(ctx.rng, size, dtype=np.uint8)
-    buf = src[key]
-    ctx.pools[dst_pool][key] = buf.copy()
-    bandwidth = finite_number(params.get("bandwidth", ctx.copy_bandwidth), "bandwidth",
-                              positive=True)
+    entry = ctx.pools[src_pool].get(key)
+    if entry is None or entry[1] != size:
+        # exact checksum of the block tiled to `size`, without building it
+        block = seeded_buffer(ctx.rng, min(size, _SEED_BLOCK), dtype=np.uint8)
+        block.setflags(write=False)
+        full, rest = divmod(size, block.size)
+        total = full * int(block.sum(dtype=np.int64)) + int(block[:rest].sum(dtype=np.int64))
+        entry = ctx.pools[src_pool][key] = (block, size, float(total))
+    ctx.pools[dst_pool][key] = entry
     ctx.dwell(size / bandwidth)
-    return KernelResult(checksum=float(buf.sum(dtype=np.float64)))
+    return KernelResult(checksum=entry[2])
 
 
 _k_copy_h2d = partial(_data_copy, direction="h2d")

@@ -257,6 +257,18 @@ def test_rng_memory_does_not_grow_with_data_size():
     assert peak < 2 * 2 ** 20
 
 
+def test_copy_memory_does_not_grow_with_data_size():
+    ctx = ctx_with(copy_bandwidth=1e12)
+    tracemalloc.start()
+    try:
+        for name in ("dataCopyH2D", "dataCopyD2H"):
+            execute_kernel(KernelCall(name, {"data_size": 8 * 2 ** 20}), ctx=ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_seeded_buffer_tiles_deterministically():
     a = seeded_buffer(np.random.default_rng(3), 10_000)
     b = seeded_buffer(np.random.default_rng(3), 10_000)
@@ -495,6 +507,42 @@ def test_data_copy_round_trip_checksum(isolated_scratch):
     down = execute_kernel(KernelCall("dataCopyD2H", {"data_size": 1000}), ctx=ctx)
     assert up.checksum == down.checksum  # same buffer comes back
     assert "default" in ctx.pools["device"]
+
+
+@pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 3 * 4096 + 7, 150_000])
+def test_tiled_copy_checksums_match_the_whole_buffer(monkeypatch, size):
+    ref = np.random.default_rng(42)
+
+    def ref_checksum():
+        block = ref.integers(0, 256, min(size, 4096), dtype=np.uint8)
+        return float(np.resize(block, size).sum(dtype=np.float64))
+
+    ctx = ctx_with(copy_bandwidth=1e12)
+    calls = count_draws(monkeypatch)
+    up = execute_kernel(KernelCall("dataCopyH2D", {"data_size": size}), ctx=ctx)
+    assert up.checksum == ref_checksum()
+    down = execute_kernel(KernelCall("dataCopyD2H", {"data_size": size}), ctx=ctx)
+    assert down.checksum == up.checksum and len(calls) == 1  # no draw
+    other = execute_kernel(KernelCall("dataCopyD2H", {"data_size": size, "buffer": "b"}),
+                           ctx=ctx)
+    assert other.checksum == ref_checksum() and len(calls) == 2
+    assert ctx.rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_copy_rejected_for_its_bandwidth_leaves_the_lane_unchanged():
+    ctx = ctx_with(copy_bandwidth=1e12)
+    execute_kernel(KernelCall("dataCopyH2D", {"data_size": 1000}), ctx=ctx)
+    state = ctx.rng.bit_generator.state
+    pools = {name: dict(pool) for name, pool in ctx.pools.items()}
+    for size, key in ((10_000, "default"), (10_000, "b"), (1000, "default")):
+        with pytest.raises(InvalidParameter, match="bandwidth"):
+            execute_kernel(KernelCall("dataCopyH2D", {"data_size": size, "buffer": key,
+                                                      "bandwidth": 0}), ctx=ctx)
+    assert ctx.rng.bit_generator.state == state
+    assert ctx.pools.keys() == pools.keys()
+    for name, pool in ctx.pools.items():
+        assert pool.keys() == pools[name].keys()
+        assert all(pool[k] is pools[name][k] for k in pool)
 
 
 # --------------------------------------------------------------------------
