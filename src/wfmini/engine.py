@@ -111,10 +111,13 @@ class DagIndex:
         self.names = names = list(pos)
         self.preds = preds = [[] for _ in names]
         self.succs = succs = [[] for _ in names]
-        for p, s in spec.edges:
-            p, s = pos[p], pos[s]
-            preds[s].append(p)
-            succs[p].append(s)
+        try:
+            for p, s in spec.edges:
+                p, s = pos[p], pos[s]
+                preds[s].append(p)
+                succs[p].append(s)
+        except KeyError as e:
+            raise UnknownTaskReference(f"edge endpoint {e.args[0]!r} not declared") from None
         indeg = list(map(len, preds))
         self._order = order = [i for i, d in enumerate(indeg) if not d]
         for i in order:  # order grows as tasks are released
@@ -151,22 +154,17 @@ def load_workflow(document) -> WorkflowSpec:
     if not isinstance(tasks_doc, list) or not tasks_doc:
         raise SchemaError("workflow needs a non-empty 'tasks' list")
     tasks = [parse_task_spec(t) for t in tasks_doc]
-    names = {t.name for t in tasks}
-    if len(names) != len(tasks):
-        raise SchemaError("duplicate task names in workflow")
     edges = []
     for e in document.get("edges", []):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise SchemaError(f"edge {e!r} must be a [pred, succ] pair")
-        pred, succ = e
-        for endpoint in (pred, succ):
-            if endpoint not in names:
-                raise UnknownTaskReference(f"edge endpoint {endpoint!r} not declared")
-        edges.append((pred, succ))
+        edges.append(tuple(e))
     phases = document.get("phases", 1)
     if not isinstance(phases, int) or phases < 1:
         raise SchemaError("phases must be an integer >= 1")
-    return WorkflowSpec(tasks=tasks, edges=edges, phases=phases, execution_model=model)
+    spec = WorkflowSpec(tasks=tasks, edges=edges, phases=phases, execution_model=model)
+    spec.index  # rejects repeated task names and undeclared edge endpoints
+    return spec
 
 
 def validate_dag(spec: WorkflowSpec):
@@ -201,30 +199,70 @@ def _demand(task: TaskSpec):
     return task.num_ranks * task.cpus_per_rank, task.num_ranks * task.gpus_per_rank
 
 
-class _SlotBank:
-    """Free lists of cpu/gpu slot ids; first-fit by node, cpus before gpus."""
+class _Scheduler:
+    """The start rule, with no threads, clock or sink. Ready tasks wait in
+    one heap of declaration positions per slot demand `(cpus, gpus)`, and
+    `starts()` takes the earliest head that fits until none fits (none while
+    a task runs under the serial model). Within a demand only the head can
+    fit first, and taking slots never makes a skipped task fit, so this
+    starts what a first-fit scan of the ready tasks in declaration order
+    would, in the same order, on the lowest free slot ids."""
 
-    def __init__(self, pool: ResourcePool):
+    def __init__(self, spec: WorkflowSpec, pool: ResourcePool):
+        for t in spec.tasks:
+            # each rank's lane is a thread, so each rank takes a cpu slot
+            if t.num_ranks < 1 or t.cpus_per_rank < 1:
+                raise SchemaError(f"task {t.name}: num_ranks and cpus_per_rank must be >= 1")
+            n_cpu, n_gpu = _demand(t)
+            if n_cpu > pool.num_cpu_slots or n_gpu > pool.num_gpu_slots:
+                raise InsufficientPool(
+                    f"task {t.name} needs {n_cpu} cpu / {n_gpu} gpu slots; pool has "
+                    f"{pool.num_cpu_slots} / {pool.num_gpu_slots}")
+        self.succs = spec.index.succs
+        self.demands = [_demand(t) for t in spec.tasks]
         # slot ids are lists, as a re-read trace holds them
         self.free = {"cpu": [list(s) for s in pool.slots if s[0] == "cpu"],
                      "gpu": [list(s) for s in pool.slots if s[0] == "gpu"]}
+        self.pending = [len(ps) for ps in spec.index.preds]
+        self.ready = {}  # slot demand -> heap of declaration positions
+        for i, demand in enumerate(self.demands):
+            if not self.pending[i]:
+                heapq.heappush(self.ready.setdefault(demand, []), i)
+        self.running = {}  # position -> slots
+        self.serial = spec.execution_model == "serial"
 
-    def fits(self, spec: TaskSpec):
-        n_cpu, n_gpu = _demand(spec)
+    def fits(self, demand):
+        n_cpu, n_gpu = demand
         return len(self.free["cpu"]) >= n_cpu and len(self.free["gpu"]) >= n_gpu
 
-    def take(self, spec: TaskSpec):
-        n_cpu, n_gpu = _demand(spec)
-        slots = self.free["cpu"][:n_cpu] + self.free["gpu"][:n_gpu]
-        self.free["cpu"] = self.free["cpu"][n_cpu:]
-        self.free["gpu"] = self.free["gpu"][n_gpu:]
-        return slots
+    def starts(self) -> list:
+        """(position, slots) of each task to start now, in start order."""
+        started = []
+        while not (self.serial and self.running):
+            heads = [(h[0], d) for d, h in self.ready.items() if h and self.fits(d)]
+            if not heads:
+                break
+            i, (n_cpu, n_gpu) = min(heads)
+            heapq.heappop(self.ready[n_cpu, n_gpu])
+            cpu, gpu = self.free["cpu"], self.free["gpu"]
+            slots = self.running[i] = cpu[:n_cpu] + gpu[:n_gpu]
+            del cpu[:n_cpu], gpu[:n_gpu]
+            started.append((i, slots))
+        return started
 
-    def release(self, slots):
+    def complete(self, i, ok) -> list:
+        """Free task `i`'s slots and return them; if `ok`, release its successors."""
+        slots = self.running.pop(i)
         for s in slots:
             self.free[s[0]].append(s)
         self.free["cpu"].sort()
         self.free["gpu"].sort()
+        if ok:
+            for s in self.succs[i]:
+                self.pending[s] -= 1
+                if not self.pending[s]:
+                    heapq.heappush(self.ready.setdefault(self.demands[s], []), s)
+        return slots
 
 
 def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
@@ -232,88 +270,49 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
             copy_bandwidth: float = DEFAULT_COPY_BANDWIDTH,
             run_id: str | None = None) -> RunTrace:
     """Run every task exactly once, honoring dependencies and slot
-    exclusivity. A task failure aborts the run (TaskFailed)."""
+    exclusivity. A task failure aborts the run (TaskFailed): nothing more
+    starts, and the running tasks are waited for. A `_Scheduler` decides
+    every start; this thread launches one thread per start and feeds each
+    completion back to it."""
     validate_dag(spec)
-    for t in spec.tasks:
-        # each rank's lane is a thread, so each rank takes a cpu slot
-        if t.num_ranks < 1 or t.cpus_per_rank < 1:
-            raise SchemaError(f"task {t.name}: num_ranks and cpus_per_rank must be >= 1")
-        n_cpu, n_gpu = _demand(t)
-        if n_cpu > pool.num_cpu_slots or n_gpu > pool.num_gpu_slots:
-            raise InsufficientPool(
-                f"task {t.name} needs {n_cpu} cpu / {n_gpu} gpu slots; pool has "
-                f"{pool.num_cpu_slots} / {pool.num_gpu_slots}")
-
+    scheduler = _Scheduler(spec, pool)
     own_scratch = scratch is None
     if own_scratch:
         scratch = Scratch()
     sink = MetricsSink()
     t0 = time.perf_counter()
     clock = lambda: time.perf_counter() - t0
-    bank = _SlotBank(pool)
     done_q = queue.Queue()
-    index = spec.index
-    pending = [len(ps) for ps in index.preds]
-    ready = {}  # slot demand -> heap of declaration positions
-    for i, t in enumerate(spec.tasks):
-        if not pending[i]:
-            heapq.heappush(ready.setdefault(_demand(t), []), i)
-    running = {}  # position -> slots
+    names = spec.index.names
     failure = None
-    serial = spec.execution_model == "serial"
 
-    # A task's events reach the run's log on this thread when its completion
-    # is taken. So one thread grows the log, and a task's events land just
-    # before its slot_idle events in the order completions are taken, not
-    # the order in which task threads end.
-    def launch(i):
-        task_spec = spec.tasks[i]
+    def body(i):
+        events = MetricsSink()
+        try:
+            run_task(spec.tasks[i], sink=events, seed=seed, clock=clock, scratch=scratch,
+                     copy_bandwidth=copy_bandwidth)
+            done_q.put((i, events, None))
+        except BaseException as e:  # SystemExit too, or the run waits forever
+            done_q.put((i, events, e))
 
-        def body():
-            events = MetricsSink()
-            try:
-                run_task(task_spec, sink=events, seed=seed, clock=clock, scratch=scratch,
-                         copy_bandwidth=copy_bandwidth)
-                done_q.put((i, events, None))
-            except BaseException as e:  # SystemExit too, or the run waits forever
-                done_q.put((i, events, e))
-        threading.Thread(target=body, name=f"task-{task_spec.name}").start()
-
+    # only this thread grows the run's log: a task's events land just before
+    # its slot_idle events, in the order completions are taken
     while True:
-        # start the earliest fitting head until none fits; within a demand
-        # only the head can fit first, and taking slots never makes a skipped
-        # task fit, so this starts what a first-fit scan of the ready tasks in
-        # declaration order would, in the same order
-        while failure is None and not (serial and running):
-            heads = [h for h in ready.values() if h and bank.fits(spec.tasks[h[0]])]
-            if not heads:
-                break
-            i = heapq.heappop(min(heads, key=lambda h: h[0]))
-            task_spec = spec.tasks[i]
-            slots = bank.take(task_spec)
+        starts = scheduler.starts() if failure is None else []
+        for i, slots in starts:
             now = clock()
             for s in slots:
-                sink.append({"kind": "slot_busy", "slot": list(s),
-                             "task": task_spec.name, "t": now})
-            running[i] = slots
-            launch(i)
-        if not running:
+                sink.append({"kind": "slot_busy", "slot": list(s), "task": names[i], "t": now})
+            threading.Thread(target=body, args=(i,), name=f"task-{names[i]}").start()
+        if not scheduler.running:
             break
         i, events, err = done_q.get()
         sink.extend(events)
-        slots = running.pop(i)
-        name = index.names[i]
         now = clock()
-        for s in slots:
-            sink.append({"kind": "slot_idle", "slot": list(s), "task": name, "t": now})
-        bank.release(slots)
+        for s in scheduler.complete(i, err is None):
+            sink.append({"kind": "slot_idle", "slot": list(s), "task": names[i], "t": now})
         if err is not None:
-            failure = (name, err)
-        else:
-            for s in index.succs[i]:
-                pending[s] -= 1
-                if pending[s] == 0:
-                    heapq.heappush(ready.setdefault(_demand(spec.tasks[s]), []), s)
+            failure = (names[i], err)
 
     if own_scratch:
         scratch.cleanup()

@@ -171,10 +171,12 @@ def run_task(spec: TaskSpec, sink: MetricsSink | None = None,
     """Execute one task: all ranks run the identical program concurrently.
 
     Each rank is one lane, a KernelContext on one thread: the calling thread
-    runs rank 0 and one thread is started for each further rank. The lanes
-    append their events to a sink of the task's own; when the task ends,
-    those events go to `sink` in one step, and the returned record is derived
-    from them. It holds no slots: slots are the engine's to grant.
+    runs rank 0 and one thread is started for each further rank. Each lane
+    appends its events to a log of its own; when the task ends, the lanes'
+    logs are joined in rank order between `task_start` and `task_end`, so
+    the task's event order does not depend on thread timing. Those events go
+    to `sink` in one step, and the returned record is derived from them. It
+    holds no slots: slots are the engine's to grant.
 
     Raises KernelFailure if any rank fails; the failed task's events still go
     to the sink. A scratch made here is cleaned up before returning.
@@ -189,13 +191,14 @@ def run_task(spec: TaskSpec, sink: MetricsSink | None = None,
         clock = lambda: time.perf_counter() - t0
     comm = Communicator(spec.num_ranks, timeout=collective_timeout)
     local = MetricsSink()
+    lane_logs = [MetricsSink() for _ in range(spec.num_ranks)]
     errors = []
 
     def lane(rank_id):
         ctx = KernelContext(
             rank_id=rank_id, comm=comm, scratch=scratch,
             rng=np.random.default_rng(rank_seed(seed, spec.name, rank_id)),
-            sink=local, task_name=spec.name, clock=clock,
+            sink=lane_logs[rank_id], task_name=spec.name, clock=clock,
             copy_bandwidth=copy_bandwidth)
         try:
             _run_program(spec.program, ctx)
@@ -212,8 +215,11 @@ def run_task(spec: TaskSpec, sink: MetricsSink | None = None,
     lane(0)
     for t in threads:
         t.join()
+    end = clock()
+    for log in lane_logs:
+        local.extend(log)
     status = "ok" if not errors else "failed"
-    local.append({"kind": "task_end", "task": spec.name, "t": clock(), "status": status})
+    local.append({"kind": "task_end", "task": spec.name, "t": end, "status": status})
     sink.extend(local)
     if own_scratch:
         scratch.cleanup()

@@ -197,8 +197,12 @@ class RunTrace:
                         schema = obj.get("schema", 0)
                         if type(schema) is not int or schema not in KNOWN_SCHEMAS:
                             raise ValueError(f"{path}: unknown trace schema {schema!r}")
-                        run_id = obj["run_id"]
-                        pool = ResourcePool.from_dict(obj["pool"])
+                        try:
+                            run_id = obj["run_id"]
+                            pool = ResourcePool.from_dict(obj["pool"])
+                        except (KeyError, TypeError) as e:
+                            raise ValueError(f"{path}: bad run header line: "
+                                             f"{type(e).__name__}: {e}") from None
                         names = obj.get("tasks")
                     elif kind == "record":
                         del obj["kind"]

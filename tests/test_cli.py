@@ -5,6 +5,7 @@ import pytest
 
 from wfmini.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USER, main
 from wfmini.kernels import catalog_names
+from wfmini.trace import RunTrace
 
 
 def write_json(path, obj):
@@ -170,6 +171,20 @@ def test_report_csv_and_svg(tmp_path, tiny_workflow, resources):
     assert main(["report", "--trace", run_dir, "--format", "svg",
                  "--out", str(svg_dir)]) == EXIT_OK
     assert "<svg" in (svg_dir / "utilization-timeline.svg").read_text()
+
+
+@pytest.mark.parametrize("header", [
+    {"kind": "run", "schema": 2, "pool": {"num_nodes": 1, "cpus_per_node": 1}, "tasks": []},
+    {"kind": "run", "schema": 2, "run_id": "r", "tasks": []},
+    {"kind": "run", "schema": 2, "run_id": "r", "pool": {"cpus_per_node": 1}, "tasks": []},
+], ids=["no-run-id", "no-pool", "no-num-nodes"])
+def test_report_on_a_bad_trace_header_names_the_file(tmp_path, capsys, header):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ValueError, match=str(path)):
+        RunTrace.read_jsonl(path)
+    assert main(["report", "--trace", str(path), "--out", str(tmp_path / "out")]) == EXIT_USER
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_exemplar_export(tmp_path):

@@ -127,6 +127,12 @@ def test_a_spec_built_with_a_repeated_name_is_rejected():
         execute(replace(spec, tasks=spec.tasks + spec.tasks[:1]), ResourcePool(1, 1), seed=0)
 
 
+def test_a_spec_built_with_an_undeclared_edge_endpoint_is_rejected():
+    spec = wf(["a", "b"], [("a", "b")])
+    with pytest.raises(UnknownTaskReference, match="'zz' not declared"):
+        validate_dag(replace(spec, edges=spec.edges + (("a", "zz"),)))
+
+
 def test_long_chain_needs_no_recursion():
     n = 10_000
     names = [f"t{i}" for i in range(n)]
@@ -276,17 +282,92 @@ def test_task_without_cpus_rejected():
 TINY = [{"kernel": "reduction", "params": {"data_size": 8}}]
 
 
+class FirstFit:
+    """The start rule written out as the reference, with `engine._Scheduler`'s
+    interface: scan every task in declaration order and start each one that
+    is ready (not started, every predecessor completed ok) and fits the free
+    slots, taking the lowest free slot ids; under the serial model start
+    nothing while a task runs."""
+
+    def __init__(self, spec, pool):
+        self.tasks = spec.tasks
+        names = [t.name for t in spec.tasks]
+        self.preds = [[names.index(p) for p, s in spec.edges if s == name] for name in names]
+        self.serial = spec.execution_model == "serial"
+        self.free = {kind: [list(s) for s in pool.slots if s[0] == kind] for kind in ("cpu", "gpu")}
+        self.started, self.done, self.running = set(), set(), {}
+
+    def starts(self):
+        block = []
+        for i, t in enumerate(self.tasks):
+            if self.serial and self.running:
+                break
+            cpu, gpu = t.num_ranks * t.cpus_per_rank, t.num_ranks * t.gpus_per_rank
+            ready = i not in self.started and all(p in self.done for p in self.preds[i])
+            if ready and len(self.free["cpu"]) >= cpu and len(self.free["gpu"]) >= gpu:
+                slots = self.running[i] = self.free["cpu"][:cpu] + self.free["gpu"][:gpu]
+                del self.free["cpu"][:cpu], self.free["gpu"][:gpu]
+                self.started.add(i)
+                block.append((i, slots))
+        return block
+
+    def complete(self, i, ok):
+        slots = self.running.pop(i)
+        if ok:
+            self.done.add(i)
+        for s in slots:
+            self.free[s[0]].append(s)
+        self.free["cpu"].sort()
+        self.free["gpu"].sort()
+        return slots
+
+
+def seeded_spec(seed, model="parallel"):
+    """40 tiny tasks of slot demand (1, 0), (2, 0) or (1, 1) on a random DAG."""
+    rng = random.Random(seed)
+    names = [f"t{i}" for i in range(40)]
+    demands = [rng.choice([(1, 0), (2, 0), (1, 1)]) for _ in names]
+    edges = [(names[i], names[j]) for i, j in itertools.combinations(range(40), 2)
+             if rng.random() < 0.08]
+    return load_workflow({
+        "execution_model": model,
+        "tasks": [task_doc(n, ranks=c, gpus=g, program=TINY) for n, (c, g) in zip(names, demands)],
+        "edges": [list(e) for e in edges]})
+
+
+def slot_events(trace):
+    return [(e["kind"], e["task"], e["slot"]) for e in trace.events
+            if e["kind"] in ("slot_busy", "slot_idle")]
+
+
+def replayed(trace, rule):
+    """The slot events a start rule gives when fed the run's completions in
+    the order the run took them, read from its slot_idle events."""
+    names = trace.tasks
+    completions = dict.fromkeys(e["task"] for e in trace.events if e["kind"] == "slot_idle")
+    events = []
+
+    def start():
+        events.extend(("slot_busy", names[i], s) for i, slots in rule.starts() for s in slots)
+
+    start()
+    for name in completions:
+        events.extend(("slot_idle", name, s) for s in rule.complete(names.index(name), True))
+        start()
+    return events
+
+
 @pytest.mark.parametrize("pool, gpus", [(ResourcePool(1, 2), 0), (ResourcePool(1, 2, 1), 1)],
                          ids=["cpus-busy", "gpu-busy"])
 def test_scheduler_stops_its_pass_when_no_head_fits(monkeypatch, pool, gpus):
-    fits = engine._SlotBank.fits
+    fits = engine._Scheduler.fits
     calls = []
 
-    def counted(self, spec):
-        calls.append(spec.name)
-        return fits(self, spec)
+    def counted(self, demand):
+        calls.append(demand)
+        return fits(self, demand)
 
-    monkeypatch.setattr(engine._SlotBank, "fits", counted)
+    monkeypatch.setattr(engine._Scheduler, "fits", counted)
     leaves = [f"t{i}" for i in range(200)]
     spec = load_workflow({
         "tasks": [task_doc("fork", program=TINY)]
@@ -305,47 +386,58 @@ def test_start_order_matches_a_first_fit_scan(seed):
     """Replay the slot events: after each completion the tasks started, and
     their slots, are those of a first-fit scan of the ready tasks in
     declaration order, taking the lowest free slot ids."""
-    rng = random.Random(seed)
-    names = [f"t{i}" for i in range(40)]
-    demands = [rng.choice([(1, 0), (2, 0), (1, 1)]) for _ in names]
-    edges = [(names[i], names[j]) for i, j in itertools.combinations(range(40), 2)
-             if rng.random() < 0.08]
-    spec = load_workflow({
-        "tasks": [task_doc(n, ranks=c, gpus=g, program=TINY) for n, (c, g) in zip(names, demands)],
-        "edges": [list(e) for e in edges]})
+    spec = seeded_spec(seed)
     pool = ResourcePool(1, 3, 1)
     trace = execute(spec, pool, seed=0)
-    assert [r.task_name for r in trace.records] == names
+    assert [r.task_name for r in trace.records] == spec.task_names
+    oracle = FirstFit(spec, pool)
+    assert slot_events(trace) == replayed(trace, oracle)
+    assert oracle.started == oracle.done == set(range(len(spec.tasks)))
 
-    slot_events = [(e["kind"], e["task"], e["slot"]) for e in trace.events
-                   if e["kind"] in ("slot_busy", "slot_idle")]
-    completions = list(dict.fromkeys(t for kind, t, _ in slot_events if kind == "slot_idle"))
-    free = {kind: [list(s) for s in pool.slots if s[0] == kind] for kind in ("cpu", "gpu")}
-    started, done, held = set(), set(), {}
 
-    def first_fit():
-        block = []
-        for name, (cpu, gpu) in zip(names, demands):
-            ready = name not in started and all(p in done for p, s in edges if s == name)
-            if ready and len(free["cpu"]) >= cpu and len(free["gpu"]) >= gpu:
-                held[name] = free["cpu"][:cpu] + free["gpu"][:gpu]
-                del free["cpu"][:cpu], free["gpu"][:gpu]
-                started.add(name)
-                block += [("slot_busy", name, s) for s in held[name]]
-        return block
+@pytest.mark.parametrize("model", ["serial", "parallel"])
+def test_execute_starts_what_the_scheduler_decides(model):
+    """A fresh scheduler fed the run's completion order yields the run's
+    slot events: execute starts exactly what the scheduler decides."""
+    spec = seeded_spec(3, model)
+    pool = ResourcePool(2, 2, 1)
+    trace = execute(spec, pool, seed=0)
+    assert slot_events(trace) == replayed(trace, engine._Scheduler(spec, pool))
 
-    expected = first_fit()
-    for name in completions:
-        slots = held.get(name, [])  # a task the scan never started fails below
-        expected += [("slot_idle", name, s) for s in slots]
-        done.add(name)
-        for s in slots:
-            free[s[0]].append(s)
-        free["cpu"].sort()
-        free["gpu"].sort()
-        expected += first_fit()
-    assert slot_events == expected
-    assert started == done == set(names)
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scheduler_matches_a_first_fit_scan_at_every_step(data):
+    """Drive the scheduler with no threads: random DAGs, both models, pools
+    of one or two nodes with and without gpus, and random completion orders
+    with an occasional failure. Every step matches the first-fit scan."""
+    pool = ResourcePool(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)),
+                        data.draw(st.integers(0, 2)))
+    n = data.draw(st.integers(1, 40))
+    docs = []
+    for i in range(n):
+        ranks = data.draw(st.integers(1, min(3, pool.num_cpu_slots)))
+        gpus = data.draw(st.integers(0, 1)) if ranks <= pool.num_gpu_slots else 0
+        docs.append(task_doc(f"t{i}", ranks=ranks, gpus=gpus, program=TINY))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=2 * n))
+    spec = load_workflow({
+        "execution_model": data.draw(st.sampled_from(["serial", "parallel"])),
+        "tasks": docs,
+        "edges": [[f"t{min(p)}", f"t{max(p)}"] for p in pairs if p[0] != p[1]]})
+    scheduler, oracle = engine._Scheduler(spec, pool), FirstFit(spec, pool)
+    all_ok = True
+    while True:
+        assert scheduler.starts() == oracle.starts()
+        if not scheduler.running:
+            break
+        assert sorted(scheduler.running) == sorted(oracle.running)
+        i = data.draw(st.sampled_from(sorted(scheduler.running)))
+        ok = data.draw(st.integers(0, 9)) > 0
+        all_ok &= ok
+        assert scheduler.complete(i, ok) == oracle.complete(i, ok)
+    if all_ok:
+        assert oracle.done == set(range(n))
 
 
 def test_kernel_raising_system_exit_fails_the_run():
