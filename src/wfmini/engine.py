@@ -270,10 +270,11 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
             copy_bandwidth: float = DEFAULT_COPY_BANDWIDTH,
             run_id: str | None = None) -> RunTrace:
     """Run every task exactly once, honoring dependencies and slot
-    exclusivity. A task failure aborts the run (TaskFailed): nothing more
-    starts, and the running tasks are waited for. A `_Scheduler` decides
-    every start; this thread launches one thread per start and feeds each
-    completion back to it."""
+    exclusivity. A task failure aborts the run (TaskFailed, naming the
+    failed task declared first): nothing more starts, and the running tasks
+    are waited for. A `_Scheduler` decides every start; this thread launches
+    one thread per start and feeds each completion back to it. A task's
+    thread writes the task's log; this thread alone writes the run's log."""
     validate_dag(spec)
     scheduler = _Scheduler(spec, pool)
     own_scratch = scratch is None
@@ -295,8 +296,8 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
         except BaseException as e:  # SystemExit too, or the run waits forever
             done_q.put((i, events, e))
 
-    # only this thread grows the run's log: a task's events land just before
-    # its slot_idle events, in the order completions are taken
+    # only this thread grows the run's log, so a task's events land just
+    # before its slot_idle events with no other task's events between them
     while True:
         starts = scheduler.starts() if failure is None else []
         for i, slots in starts:
@@ -311,14 +312,14 @@ def execute(spec: WorkflowSpec, pool: ResourcePool, seed: int = 0,
         now = clock()
         for s in scheduler.complete(i, err is None):
             sink.append({"kind": "slot_idle", "slot": list(s), "task": names[i], "t": now})
-        if err is not None:
-            failure = (names[i], err)
+        if err is not None and (failure is None or i < failure[0]):
+            failure = (i, err)
 
     if own_scratch:
         scratch.cleanup()
     if failure is not None:
-        name, err = failure
-        raise TaskFailed(f"task {name} failed: {err}") from err
+        i, err = failure
+        raise TaskFailed(f"task {names[i]} failed: {err}") from err
     # records in declaration order: completion order depends on thread timing
     return RunTrace(run_id=run_id or uuid.uuid4().hex[:12], pool=pool,
                     events=sink, tasks=spec.task_names)

@@ -84,8 +84,13 @@ _KERNEL_LINE = ('{{"kind": "kernel", '
 
 
 class MetricsSink(Sequence):
-    """The event log of a run: appended to by many threads, read as a
-    sequence of events in arrival order.
+    """The event log of a run, read as a sequence of events in arrival
+    order. Within `execute` each log has one writer thread at a time: a rank
+    lane's log its lane, a task's log its rank 0, the run's log the engine.
+    `KernelContext(sink=...)` and `run_task(sink=...)` are public, though,
+    so one log may be shared by several writers: `append`, `extend` and
+    `remove` take the log's lock, which `__getstate__` and `__setstate__`
+    leave out of a pickle or copy and make anew.
 
     Kernel events are kept in typed `array` columns, one entry per event and
     field, with the task and kernel names as indexes into a per-log name

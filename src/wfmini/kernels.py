@@ -103,8 +103,9 @@ class Communicator:
     """In-process message links between the ranks of one task.
 
     Collectives require all ranks to participate; a rank that never shows up
-    breaks the barrier for everyone after `timeout` seconds. `waited[r]` is
-    the total time rank r has spent in `barrier`, the one wait point.
+    breaks the barrier for everyone after `timeout` seconds, and `abort()`
+    breaks it at once. `waited[r]` is the total time rank r has spent in
+    `barrier`, the one wait point.
     """
 
     def __init__(self, size, timeout=30.0):
@@ -115,6 +116,13 @@ class Communicator:
         self._barrier = threading.Barrier(size)
         self._slots = [None] * size
         self.waited = [0.0] * size
+        self.aborted = False
+
+    def abort(self):
+        """Break the barrier for every rank, now and at every later
+        collective; `aborted` then tells a rank why its collective failed."""
+        self.aborted = True
+        self._barrier.abort()
 
     def barrier(self, rank_id):
         t0 = time.perf_counter()
@@ -406,11 +414,9 @@ def seeded_buffer(rng, n, dtype=np.float64):
 
 
 def _k_matmul_simple2d(ctx, params):
+    """matMulGeneral of the one square triple (dim, dim, dim)."""
     dim = _positive_int(params, "dim")
-    a = ctx.operand(dim * dim).reshape(dim, dim)
-    b = ctx.operand(dim * dim).reshape(dim, dim)
-    c = ops.matmul(a, b)
-    return KernelResult(checksum=float(c.sum()))
+    return _k_matmul_general(ctx, {"dim_list": [(dim, dim, dim)]})
 
 
 def _k_matmul_general(ctx, params):

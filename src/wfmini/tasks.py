@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CollectiveMismatch,
     InvalidParameter,
     KernelFailure,
     SchemaError,
@@ -170,19 +171,19 @@ def run_task(spec: TaskSpec, sink: MetricsSink | None = None,
              collective_timeout: float = 30.0) -> TaskRecord:
     """Execute one task: all ranks run the identical program concurrently.
 
-    Each rank is one lane, a KernelContext on one thread: the calling thread
-    runs rank 0 and one thread is started for each further rank. Each lane
-    appends its events to a log of its own; when the task ends, the lanes'
-    logs are joined in rank order between `task_start` and `task_end`, so
-    the task's event order does not depend on thread timing. Those events go
-    to `sink` in one step, and the returned record is derived from them. It
-    holds no slots: slots are the engine's to grant.
+    Each rank is one lane, a KernelContext on one thread that alone writes
+    the lane's log: the calling thread runs rank 0 and one thread is started
+    for each further rank. Rank 0's log is the task's: `task_start`, rank
+    0's events, then, after the joins, the other lanes' logs in rank order
+    and `task_end`, so the order does not depend on thread timing. The
+    record is derived from that log, which goes to `sink` in one locked
+    `extend`. It holds no slots: slots are the engine's to grant.
 
-    Raises KernelFailure if any rank fails; the failed task's events still go
-    to the sink. A scratch made here is cleaned up before returning.
+    Raises KernelFailure if any rank fails, naming the lowest rank that did
+    not fail only by another rank's abort, else the lowest failing rank; the
+    failed task's events still go to the sink. A scratch made here is
+    cleaned up before returning.
     """
-    if sink is None:
-        sink = MetricsSink()
     own_scratch = scratch is None
     if own_scratch:
         scratch = Scratch()
@@ -190,9 +191,8 @@ def run_task(spec: TaskSpec, sink: MetricsSink | None = None,
         t0 = time.perf_counter()
         clock = lambda: time.perf_counter() - t0
     comm = Communicator(spec.num_ranks, timeout=collective_timeout)
-    local = MetricsSink()
     lane_logs = [MetricsSink() for _ in range(spec.num_ranks)]
-    errors = []
+    errors = [None] * spec.num_ranks
 
     def lane(rank_id):
         ctx = KernelContext(
@@ -202,12 +202,14 @@ def run_task(spec: TaskSpec, sink: MetricsSink | None = None,
             copy_bandwidth=copy_bandwidth)
         try:
             _run_program(spec.program, ctx)
-        except BaseException as e:  # first failure aborts all ranks
-            errors.append((rank_id, e))
-            comm._barrier.abort()
+        except BaseException as e:  # the first failure aborts all ranks
+            # (broken by another rank's abort, rank, error): min() names a cause first
+            errors[rank_id] = (isinstance(e, CollectiveMismatch) and comm.aborted, rank_id, e)
+            comm.abort()
 
-    local.append({"kind": "task_start", "task": spec.name, "t": clock(),
-                  "ranks": spec.num_ranks, "category": spec.category})
+    log = lane_logs[0]
+    log.append({"kind": "task_start", "task": spec.name, "t": clock(),
+                "ranks": spec.num_ranks, "category": spec.category})
     threads = [threading.Thread(target=lane, args=(r,), name=f"{spec.name}-r{r}")
                for r in range(1, spec.num_ranks)]
     for t in threads:
@@ -216,17 +218,19 @@ def run_task(spec: TaskSpec, sink: MetricsSink | None = None,
     for t in threads:
         t.join()
     end = clock()
-    for log in lane_logs:
-        local.extend(log)
-    status = "ok" if not errors else "failed"
-    local.append({"kind": "task_end", "task": spec.name, "t": end, "status": status})
-    sink.extend(local)
+    for other in lane_logs[1:]:
+        log.extend(other)
+    failures = [e for e in errors if e is not None]
+    status = "ok" if not failures else "failed"
+    log.append({"kind": "task_end", "task": spec.name, "t": end, "status": status})
+    if sink is not None:
+        sink.extend(log)
     if own_scratch:
         scratch.cleanup()
-    if errors:
-        rank_id, err = errors[0]
+    if failures:
+        _, rank_id, err = min(failures)
         raise KernelFailure(f"task {spec.name} rank {rank_id}: {err}") from err
-    return task_records(local, [spec.name])[0]
+    return task_records(log, [spec.name])[0]
 
 
 # --------------------------------------------------------------------------

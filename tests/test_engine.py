@@ -28,7 +28,7 @@ from wfmini.errors import (
     UnknownTaskReference,
 )
 from wfmini.kernels import catalog_names, register_kernel
-from wfmini.trace import ResourcePool
+from wfmini.trace import MetricsSink, ResourcePool
 
 
 def task_doc(name, ranks=1, phase=None, category="work", program=None, gpus=0):
@@ -472,6 +472,39 @@ def test_task_failure_aborts_run():
     })
     with pytest.raises(TaskFailed):
         execute(spec, ResourcePool(1, 2), seed=0)
+
+
+def test_of_two_failed_tasks_the_one_declared_first_is_named():
+    # both start at once and both fail; the failure drained last used to be named
+    failing = [{"loop": True, "count": 5,
+                "body": [{"kernel": "reduction", "params": {"data_size": 8}}]},
+               {"kernel": "fft", "params": {"data_size": 3}}]
+    spec = load_workflow({"tasks": [task_doc("a", program=failing),
+                                    task_doc("b", program=failing)]})
+    named = set()
+    for _ in range(30):
+        with pytest.raises(TaskFailed) as failure:
+            execute(spec, ResourcePool(1, 2), seed=0)
+        named.add(str(failure.value).split(":")[0])
+    assert named == {"task a failed"}
+
+
+@pytest.mark.parametrize("dims", [(1, -1, 0), (1, 1, -1)])
+def test_pool_rejects_negative_dimensions(dims):
+    with pytest.raises(ValueError, match="non-negative"):
+        ResourcePool(*dims)
+
+
+def test_a_run_extends_a_log_once_per_rank_and_once_per_task(monkeypatch):
+    # rank 0's log is the task's: the other ranks' logs join it, it goes to
+    # the task's log in execute, which goes to the run's log
+    calls = []
+    extend = MetricsSink.extend
+    monkeypatch.setattr(MetricsSink, "extend",
+                        lambda self, events: calls.append(self) or extend(self, events))
+    spec = wf(["one", "two", "three"], [], two={"ranks": 2}, three={"ranks": 3})
+    execute(spec, ResourcePool(1, 3), seed=0)
+    assert len(calls) == sum(t.num_ranks + 1 for t in spec.tasks) == 9
 
 
 def test_slot_events_balanced():

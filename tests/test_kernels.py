@@ -188,6 +188,21 @@ def test_scatter_add_rejects_bad_index():
         ops.scatter_add([1.0, 2.0], [0], np.zeros(3))
 
 
+def test_scatter_add_kernel_checksum_matches_ops():
+    probe = np.random.default_rng(42)
+    x = seeded_buffer(probe, 50)
+    idx = probe.integers(0, 7, 50)
+    want = float(ops.scatter_add(x, idx, np.zeros(7)).sum())
+    assert [run("scatterAdd", x_size=50, y_size=7).checksum for _ in range(2)] == [want, want]
+    assert run("scatterAdd", seed=43, x_size=50, y_size=7).checksum != want
+
+
+@pytest.mark.parametrize("params", [{"x_size": 0, "y_size": 4}, {"x_size": 4, "y_size": 0}])
+def test_scatter_add_kernel_rejects_sizes_below_one(params):
+    with pytest.raises(InvalidParameter):
+        run("scatterAdd", **params)
+
+
 def test_reduction_oracle(rng):
     x = rng.random(64)
     want = 0.0

@@ -7,6 +7,8 @@ import json
 import math
 import re
 import statistics
+import sys
+import threading
 import tracemalloc
 from dataclasses import asdict
 
@@ -487,6 +489,37 @@ def test_the_log_reads_as_a_sequence_of_its_events():
     log.remove(plain[0])
     assert log == plain[1:7] + plain[8:] + kernel_events(3)[::-1] + [task_start("x", 1.0)]
     assert copy.deepcopy(log) == log
+
+
+def test_two_threads_appending_to_one_log_keep_every_row_whole():
+    # one log may be shared: two lanes can be handed the same sink through
+    # KernelContext(sink=...); a switch between two column appends of one
+    # event must not let the other thread's event in
+    n = 20_000
+    log = MetricsSink()
+
+    def append(k):
+        for i in range(n):
+            log.append(KernelEvent(f"t{k}", k, f"k{k}", i, i, k, i, i, k, float(i)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=append, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(log) == 2 * n
+    seen = {0: [], 1: []}
+    for e in log:
+        k = e["rank"]
+        i = e["bytes_read"]
+        assert dict(e) == dict(KernelEvent(f"t{k}", k, f"k{k}", i, i, k, i, i, k, float(i)))
+        seen[k].append(i)
+    assert seen == {0: list(range(n)), 1: list(range(n))}
 
 
 def test_the_log_rejects_values_its_columns_cannot_hold(tmp_path):

@@ -5,14 +5,23 @@ import threading
 
 import pytest
 
+from wfmini import kernels
 from wfmini.engine import execute, load_workflow
-from wfmini.errors import KernelFailure, SchemaError, UnknownKernel, UnknownParameter
+from wfmini.errors import (
+    InvalidParameter,
+    KernelFailure,
+    SchemaError,
+    UnknownKernel,
+    UnknownParameter,
+)
+from wfmini.kernels import KernelDef, KernelResult
 from wfmini.tasks import (
     get_param,
     parse_task_spec,
     rank_seed,
     run_task,
     scale_task,
+    scale_values,
     task_seed,
 )
 from wfmini.trace import MetricsSink, ResourcePool, task_records
@@ -244,6 +253,20 @@ def test_get_param_and_errors():
         get_param(spec, "program.0.nope")
 
 
+def test_a_list_segment_must_be_an_index():
+    spec = parse_task_spec(simple_doc())
+    with pytest.raises(UnknownParameter, match="'first' is not a list index"):
+        get_param(spec, "program.first.kernel")
+    with pytest.raises(UnknownParameter, match="is not a list index"):
+        scale_values({"sizes": [4]}, {"sizes.x": 2.0})
+
+
+def test_scale_values_multiplies_a_float_without_rounding():
+    doc = {"a": 2.5, "params": [{"alpha": 0.1}]}
+    scale_values(doc, {"a": 0.1, "params.0.alpha": 3.0})
+    assert doc == {"a": 2.5 * 0.1, "params": [{"alpha": 0.1 * 3.0}]}
+
+
 def test_scale_task_identity_and_floor():
     spec = parse_task_spec({
         "name": "t", "category": "c", "num_ranks": 1,
@@ -276,3 +299,41 @@ def test_scale_task_rejects_nonsense():
         scale_task(spec, {"program.0.params.data_size": 0.0})
     with pytest.raises(UnknownParameter):
         scale_task(spec, {"name": 2.0})
+
+
+def test_a_failure_on_every_rank_is_named_by_rank_0():
+    # every rank reaches fft past the last collective and fails there on its
+    # own; the rank that failed first in time used to be named
+    spec = parse_task_spec({
+        "name": "bad", "category": "c", "num_ranks": 3,
+        "program": [{"loop": True, "count": 5,
+                     "body": [{"kernel": "reduction", "params": {"data_size": 8}}]},
+                    {"kernel": "fft", "params": {"data_size": 3}}]})
+    named = set()
+    for _ in range(30):
+        with pytest.raises(KernelFailure) as failure:
+            run_task(spec)
+        named.add(str(failure.value).split(":")[0])
+    assert named == {"task bad rank 0"}
+
+
+def test_the_rank_that_failed_is_named_not_the_ranks_its_abort_broke(monkeypatch):
+    def fail_on_rank_2(ctx, params):
+        if ctx.rank_id == 2:
+            raise InvalidParameter("rank 2 refuses")
+        return KernelResult()
+
+    monkeypatch.setitem(kernels._CATALOG, "failOnRank2",
+                        KernelDef("failOnRank2", fail_on_rank_2))
+    spec = parse_task_spec({
+        "name": "one-bad", "category": "c", "num_ranks": 3,
+        "program": [{"kernel": "failOnRank2"},
+                    {"kernel": "MPIallReduce", "params": {"data_size": 4}}]})
+    for _ in range(10):
+        sink = MetricsSink()
+        with pytest.raises(KernelFailure, match="^task one-bad rank 2: rank 2 refuses$"):
+            run_task(spec, sink=sink)
+        # ranks 0 and 1 got to the allreduce, whose barrier the abort broke
+        ran = sorted((e["rank"], e["kernel"]) for e in sink if e["kind"] == "kernel")
+        assert ran == [(0, "failOnRank2"), (1, "failOnRank2")]
+        assert sink[-1]["status"] == "failed"
