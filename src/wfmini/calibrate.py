@@ -25,6 +25,7 @@ from .errors import (
     UnmappedKnob,
 )
 from .engine import WorkflowConfig, WorkflowSpec, load_workflow
+from .kernels import finite_number
 from .metrics import MetricsSummary
 from .tasks import _walk, scale_values, walk_program
 
@@ -57,13 +58,15 @@ def ingest_profile(document) -> TargetMetrics:
         raise SchemaError("profile needs a 'workflow' object")
     if not isinstance(cats, dict) or not cats:
         raise SchemaError("profile needs a non-empty 'categories' object")
-    for key in ("makespan_s", "read_bytes", "write_bytes"):
-        if key not in wf or wf[key] < 0:
-            raise SchemaError(f"workflow profile needs non-negative {key!r}")
-    for name, cat in cats.items():
+    for where, doc in [("workflow profile", wf),
+                       *((f"category {name}:", cat) for name, cat in cats.items())]:
         for key in ("makespan_s", "read_bytes", "write_bytes"):
-            if key not in cat or cat[key] < 0:
-                raise SchemaError(f"category {name}: needs non-negative {key!r}")
+            try:
+                if finite_number(doc[key], key) >= 0:
+                    continue
+            except (KeyError, TypeError, InvalidParameter):
+                pass
+            raise SchemaError(f"{where} needs a non-negative finite number {key!r}")
     for key in ("read_bytes", "write_bytes", "makespan_s"):
         total = sum(cat[key] for cat in cats.values())
         # per-category sums may not exceed workflow totals (small float slack)

@@ -567,20 +567,15 @@ _k_write_mpi = partial(_mpi_io, mode="r+b")
 # --------------------------------------------------------------------------
 # collectives
 
-def _k_allreduce(ctx, params):
+def _collective(ctx, params, op):
     n = _positive_int(params, "data_size")
-    data = ctx.operand(n)
-    out = ctx.comm.allreduce(ctx.rank_id, data)
+    out = op(ctx.comm, ctx.rank_id, ctx.operand(n))
     comm_bytes = n * ELEMENT_WIDTH * (ctx.comm.size - 1)  # ring model, per rank
     return KernelResult(bytes_communicated=comm_bytes, checksum=float(out.sum()))
 
 
-def _k_allgather(ctx, params):
-    n = _positive_int(params, "data_size")
-    data = ctx.operand(n)
-    out = ctx.comm.allgather(ctx.rank_id, data)
-    comm_bytes = n * ELEMENT_WIDTH * (ctx.comm.size - 1)
-    return KernelResult(bytes_communicated=comm_bytes, checksum=float(out.sum()))
+_k_allreduce = partial(_collective, op=Communicator.allreduce)
+_k_allgather = partial(_collective, op=Communicator.allgather)
 
 
 # --------------------------------------------------------------------------

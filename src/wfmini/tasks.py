@@ -269,8 +269,7 @@ def scale_values(doc: dict, factors: dict):
     """Multiply addressed numeric values in a task/workflow document in
     place; integer values round to >= 1."""
     for path, factor in factors.items():
-        if factor <= 0:
-            raise InvalidParameter(f"factor for {path} must be > 0")
+        factor = finite_number(factor, f"factor for {path}", positive=True)
         parent, key = _walk(doc, path)
         value = parent[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -13,17 +13,15 @@ in typed columns, read as `KernelEvent` rows, and the other kinds as dicts.
 
 `task_records` derives a `TaskRecord` per task from them, the one builder
 of records: `RunTrace.records` calls it on first access and keeps the list.
-The first line of a trace file is a header carrying the run id, the pool,
-the schema version and, from schema 2, `tasks`: the record names in
-declaration order. A schema-2 file holds events only. Schemas 0 (no version
-field) and 1 name no tasks in the header and hold one `"record"` line per
-task instead, whose `ranks` and `category` their `task_start` events lack;
-reading folds those two into the task's `task_start` and drops the line.
+A trace file has one layout: a header line carrying the run id, the pool,
+`"schema": 2` and `tasks`, the record names in declaration order, then one
+line per event. A header of any other schema, or of none (schema 0), is
+rejected with a ValueError that names the file and the schema found.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -32,7 +30,6 @@ from pathlib import Path
 from .events import READ_BATCH, KernelEvent, MetricsSink  # noqa: F401
 
 SCHEMA = 2
-KNOWN_SCHEMAS = (0, 1, 2)
 # values that repeat across a run, shared through one dict per read: the
 # names the kernel columns index, and the dict events' kinds and tasks
 SHARED_VALUES = ("kind", "task", "kernel")
@@ -94,6 +91,9 @@ class ResourcePool:
     gpus_per_node: int = 0
 
     def __post_init__(self):
+        for name, dim in self.to_dict().items():
+            if type(dim) is not int:
+                raise ValueError(f"pool {name} must be an integer, got {dim!r}")
         if self.num_nodes < 1 or self.cpus_per_node < 0 or self.gpus_per_node < 0:
             raise ValueError("pool dimensions must be non-negative, num_nodes >= 1")
 
@@ -124,11 +124,6 @@ class ResourcePool:
     def from_dict(cls, d):
         return cls(num_nodes=d["num_nodes"], cpus_per_node=d["cpus_per_node"],
                    gpus_per_node=d.get("gpus_per_node", 0))
-
-
-# the keys a schema-0/1 record line may and must carry: TaskRecord's fields
-RECORD_KEYS = {f.name for f in fields(TaskRecord)}
-REQUIRED_RECORD_KEYS = {f.name for f in fields(TaskRecord) if f.default is MISSING}
 
 
 @dataclass
@@ -167,8 +162,7 @@ class RunTrace:
 
     @classmethod
     def read_jsonl(cls, path):
-        run_id, pool, schema, names = "run", None, 0, None
-        folds = {}  # schema 0/1: task name -> its record line
+        pool = None
         log = MetricsSink()
         shared = {}
 
@@ -194,22 +188,20 @@ class RunTrace:
                             obj[key] = share(key, value)
                     kind = obj.get("kind")
                     if kind == "run":
-                        schema = obj.get("schema", 0)
-                        if type(schema) is not int or schema not in KNOWN_SCHEMAS:
-                            raise ValueError(f"{path}: unknown trace schema {schema!r}")
+                        schema = obj.get("schema", 0)  # no field: schema 0
+                        if type(schema) is not int or schema != SCHEMA:
+                            raise ValueError(f"{path}: trace schema {schema!r} is not "
+                                             f"read; only schema {SCHEMA} is")
                         try:
                             run_id = obj["run_id"]
                             pool = ResourcePool.from_dict(obj["pool"])
-                        except (KeyError, TypeError) as e:
+                        except (KeyError, TypeError, ValueError) as e:
                             raise ValueError(f"{path}: bad run header line: "
                                              f"{type(e).__name__}: {e}") from None
                         names = obj.get("tasks")
-                    elif kind == "record":
-                        del obj["kind"]
-                        if not REQUIRED_RECORD_KEYS <= obj.keys() <= RECORD_KEYS:
-                            raise ValueError(f"{path}: bad record line: keys {sorted(obj)}, "
-                                             f"expected TaskRecord's {sorted(RECORD_KEYS)}")
-                        folds[obj["task_name"]] = obj
+                        if not isinstance(names, list) or not all(
+                                isinstance(n, str) for n in names):
+                            raise ValueError(f"{path}: header has no 'tasks' list of names")
                     else:
                         events.append(obj)
                 try:
@@ -218,15 +210,6 @@ class RunTrace:
                     raise ValueError(f"{path}: {e}") from None
         if pool is None:
             raise ValueError(f"{path}: missing run header line")
-        if schema < 2:
-            names = list(folds)
-            for e in log.dict_events():
-                if e.get("kind") == "task_start" and e.get("task") in folds:
-                    record = folds[e["task"]]
-                    e.update(ranks=record["ranks"], category=record.get("category", ""))
-        elif not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise ValueError(f"{path}: schema-{schema} header has no 'tasks' "
-                             "list of names")
         trace = cls(run_id=run_id, pool=pool, events=log, tasks=names)
         try:
             trace.records  # so a file that lacks a task fact fails here

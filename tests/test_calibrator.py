@@ -86,6 +86,16 @@ def test_ingest_profile_validation():
     assert target.per_task_category["compute"]["read_bytes"] == 100
 
 
+@pytest.mark.parametrize("value", ["1", float("nan"), float("inf"), True, None])
+@pytest.mark.parametrize("where", ["workflow", "categories"])
+def test_ingest_profile_rejects_a_value_that_is_not_a_finite_number(where, value):
+    cat = {"makespan_s": 1.0, "read_bytes": 1, "write_bytes": 1}
+    doc = {"workflow": dict(cat), "categories": {"c": dict(cat)}}
+    (doc[where] if where == "workflow" else doc[where]["c"])["read_bytes"] = value
+    with pytest.raises(SchemaError, match="'read_bytes'"):
+        ingest_profile(doc)
+
+
 def test_default_attribution_paths():
     attrs = default_attribution(linear_spec())
     by_metric = {a.metric: a for a in attrs}

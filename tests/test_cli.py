@@ -177,7 +177,11 @@ def test_report_csv_and_svg(tmp_path, tiny_workflow, resources):
     {"kind": "run", "schema": 2, "pool": {"num_nodes": 1, "cpus_per_node": 1}, "tasks": []},
     {"kind": "run", "schema": 2, "run_id": "r", "tasks": []},
     {"kind": "run", "schema": 2, "run_id": "r", "pool": {"cpus_per_node": 1}, "tasks": []},
-], ids=["no-run-id", "no-pool", "no-num-nodes"])
+    {"kind": "run", "schema": 2, "run_id": "r",
+     "pool": {"num_nodes": 1, "cpus_per_node": 1.5}, "tasks": []},
+    {"kind": "run", "schema": 2, "run_id": "r",
+     "pool": {"num_nodes": 0, "cpus_per_node": 1}, "tasks": []},
+], ids=["no-run-id", "no-pool", "no-num-nodes", "fractional-cpus", "zero-nodes"])
 def test_report_on_a_bad_trace_header_names_the_file(tmp_path, capsys, header):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(header) + "\n")
@@ -185,6 +189,18 @@ def test_report_on_a_bad_trace_header_names_the_file(tmp_path, capsys, header):
         RunTrace.read_jsonl(path)
     assert main(["report", "--trace", str(path), "--out", str(tmp_path / "out")]) == EXIT_USER
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("dims", [{"cpus_per_node": 2.5}, {"gpus_per_node": True}])
+def test_run_rejects_a_pool_dimension_that_is_not_an_integer(tmp_path, capsys,
+                                                             tiny_workflow, dims):
+    pool = write_json(tmp_path / "pool.json", {"num_nodes": 1, "cpus_per_node": 2, **dims})
+    argv = ["run", "--workflow", tiny_workflow, "--resources", pool,
+            "--out", str(tmp_path / "runs")]
+    assert main(argv) == EXIT_USER
+    err = capsys.readouterr().err
+    assert err.startswith("error: pool ") and "must be an integer" in err
+    assert "Traceback" not in err
 
 
 def test_exemplar_export(tmp_path):

@@ -495,6 +495,12 @@ def test_pool_rejects_negative_dimensions(dims):
         ResourcePool(*dims)
 
 
+@pytest.mark.parametrize("dims", [(1.0, 1, 0), (1, 2.5, 0), (1, 1, True), (1, "2", 0)])
+def test_pool_rejects_dimensions_that_are_not_integers(dims):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ResourcePool(*dims)
+
+
 def test_a_run_extends_a_log_once_per_rank_and_once_per_task(monkeypatch):
     # rank 0's log is the task's: the other ranks' logs join it, it goes to
     # the task's log in execute, which goes to the run's log

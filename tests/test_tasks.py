@@ -295,8 +295,9 @@ def test_scale_task_multiplicative_for_exact_factors():
 
 def test_scale_task_rejects_nonsense():
     spec = parse_task_spec(simple_doc())
-    with pytest.raises(Exception):
-        scale_task(spec, {"program.0.params.data_size": 0.0})
+    for factor in (0.0, -1.0, float("nan"), float("inf"), True, "2"):
+        with pytest.raises(InvalidParameter, match="factor for program.0.params.data_size"):
+            scale_task(spec, {"program.0.params.data_size": factor})
     with pytest.raises(UnknownParameter):
         scale_task(spec, {"name": 2.0})
 
