@@ -39,6 +39,17 @@ def _read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _read_pool(path):
+    """The resource pool in the JSON file at `path`; a bad one raises a
+    ValueError that names the file."""
+    try:
+        return ResourcePool.from_dict(_read_json(path))
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path}: not a pool: {type(e).__name__}: {e}") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _write_json(path, obj):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -64,7 +75,7 @@ def cmd_run(args):
         return EXIT_USER
     spec = _load_spec(args)
     if args.resources:
-        pool = ResourcePool.from_dict(_read_json(args.resources))
+        pool = _read_pool(args.resources)
     elif args.exemplar:
         pool = fitting_pool(spec)
     else:
@@ -188,7 +199,7 @@ def cmd_calibrate(args):
     spec = _load_spec(args)
     profile = ingest_profile(_read_json(args.profile))
     if args.resources:
-        pool = ResourcePool.from_dict(_read_json(args.resources))
+        pool = _read_pool(args.resources)
     else:
         pool = fitting_pool(spec)
     seed = _default_seed(args)

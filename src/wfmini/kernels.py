@@ -15,7 +15,8 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from pathlib import Path
 from urllib.parse import quote
 
@@ -37,7 +38,9 @@ from .errors import (
 from .events import KernelEvent, MetricsSink
 
 IO_BLOCK = 4 * 2 ** 20    # writes happen in 4 MiB blocks
-WORK_BLOCK = 64 * 2 ** 10  # float64 elements in a lane's work block (512 KiB)
+# float64 elements in a lane's work block (256 KiB), and the chunk that a
+# longer compute operand streams in; a multiple of the 4 Ki seed block
+WORK_BLOCK = 32 * 2 ** 10
 ELEMENT_WIDTH = 8          # communicated elements are double width
 
 SCRATCH_ENV = "WFMINI_SCRATCH"
@@ -225,9 +228,11 @@ class KernelContext:
     The host/device pools, work block, operand memo and dwell clock are
     lane state, kept for the context's life. Both pools map a copy buffer's
     name to one shared read-only `(seed block, size, checksum)` entry; the
-    buffer is the block tiled to `size` bytes. The default scratch manager
-    (see `files`) and the work block are built on first use, so a context
-    that runs only compute kernels touches no file system."""
+    buffer is the block tiled to `size` bytes. The operand memo holds at
+    most WORK_BLOCK values per operand, except those that a kernel uses
+    whole (see `whole_operand`). The default scratch manager (see `files`)
+    and the work block are built on first use, so a context that runs only
+    compute kernels touches no file system."""
 
     rank_id: int = 0
     comm: Communicator | None = None
@@ -257,26 +262,42 @@ class KernelContext:
         return self.scratch
 
     def work_block(self) -> np.ndarray:
-        """The lane's reusable float64 block of WORK_BLOCK elements: large
-        kernel buffers stream through it instead of being allocated whole."""
+        """The lane's reusable float64 block of WORK_BLOCK elements, which RNG
+        draws and file reads stream through instead of being allocated
+        whole."""
         if self._block is None:
             self._block = np.empty(WORK_BLOCK)
         return self._block
 
     def operand(self, n) -> np.ndarray:
         """The lane's read-only float64 operand of length n for this position
-        among the current kernel call's requests.
+        among the current kernel call's requests, or, when n exceeds
+        WORK_BLOCK, its first WORK_BLOCK values (all n once `whole_operand`
+        has built it).
 
-        The first request for a (length, position) draws it from the lane
-        generator, so a kernel's first call draws what a fresh buffer would;
-        later calls of the same shape reuse it."""
+        An operand is its seed block tiled, so each WORK_BLOCK-aligned chunk
+        of it is a prefix of what this returns. The first request for a
+        (length, position) draws the seed block from the lane generator, so a
+        kernel's first call draws what a fresh buffer would; later calls of
+        the same shape reuse it."""
         key = (n, self._ordinal)
         self._ordinal += 1
         buf = self._operands.get(key)
         if buf is None:
-            buf = seeded_buffer(self.rng, n)
+            buf = seeded_buffer(self.rng, min(n, WORK_BLOCK))
             buf.setflags(write=False)
             self._operands[key] = buf
+        return buf
+
+    def whole_operand(self, n) -> np.ndarray:
+        """`operand(n)` built to its full length n and kept for the lane's
+        life, for kernels that use every element at once (matmul,
+        collectives, scatterAdd)."""
+        buf = self.operand(n)
+        if buf.size < n:
+            buf = np.resize(buf, n)
+            buf.setflags(write=False)
+            self._operands[n, self._ordinal - 1] = buf
         return buf
 
     def dwell(self, seconds):
@@ -403,8 +424,9 @@ def seeded_buffer(rng, n, dtype=np.float64):
     Tiling a block of at most 4 Ki values keeps rank lanes from serializing
     on the GIL-held generator while staying reproducible: each call makes
     one block draw. Kernels get their operands through
-    `KernelContext.operand`, which calls this once per lane and shape; data
-    copies call it with n at most the block size and keep only the block."""
+    `KernelContext.operand`, which calls this once per lane and shape with n
+    at most WORK_BLOCK; data copies call it with n at most the block size
+    and keep only the block."""
     m = min(n, _SEED_BLOCK)
     if dtype == np.uint8:
         block = rng.integers(0, 256, m, dtype=np.uint8)
@@ -430,8 +452,8 @@ def _k_matmul_general(ctx, params):
                        for d in triple)):
             raise InvalidParameter(f"bad dimension triple {triple!r}")
         m, k, n = (int(d) for d in triple)
-        a = ctx.operand(m * k).reshape(m, k)
-        b = ctx.operand(k * n).reshape(k, n)
+        a = ctx.whole_operand(m * k).reshape(m, k)
+        b = ctx.whole_operand(k * n).reshape(k, n)
         c = ops.matmul(a, b)
         checksum += float(c.sum())
     return KernelResult(checksum=checksum)
@@ -445,10 +467,17 @@ def _k_fft(ctx, params):
     if not ops.is_power_of_two(span) or span < 2 or n % span:
         raise InvalidParameter(
             f"transform_dim must be a power of two >= 2 dividing data_size, got {span}")
-    data = ctx.operand(n) + 1j * ctx.operand(n)
+    re, im = ctx.operand(n), ctx.operand(n)
+    # the data repeats every min(n, WORK_BLOCK) values, so its first
+    # `period` values hold every distinct transform
+    period = max(span, min(n, WORK_BLOCK))
+    data = np.empty(period, np.complex128)
+    data.real = np.resize(re, period)
+    data.imag = np.resize(im, period)
+    rows = data.reshape(-1, span)
     checksum = 0.0
-    for chunk in data.reshape(n // span, span):
-        checksum += float(np.abs(ops.fft(chunk)).sum())
+    for i in range(n // span):  # one transform at a time, in order
+        checksum += float(np.abs(ops.fft(rows[i % len(rows)])).sum())
     return KernelResult(checksum=checksum)
 
 
@@ -473,19 +502,32 @@ def _k_rng(ctx, params):
     return KernelResult(checksum=checksum)
 
 
+def _streamed(ctx, n, count, fn):
+    """The sum, in order, of `fn` over the WORK_BLOCK-long chunks of `count`
+    operands of length n. Every whole chunk of an operand is the same prefix
+    of it; an operand of at most one block is one chunk."""
+    operands = [ctx.operand(n) for _ in range(count)]
+    full, rest = divmod(n, WORK_BLOCK)
+    block = [x[:WORK_BLOCK] for x in operands]
+    parts = [fn(*block) for _ in range(full)]
+    if rest:
+        # star-calling a list, not a generator: a generator's argument tuple
+        # is resized, and each call left one more on CPython's tuple free list
+        parts.append(fn(*[x[:rest] for x in operands]))
+    return reduce(add, parts)
+
+
 def _k_axpy(ctx, params):
     n = _positive_int(params, "data_size")
     a = finite_number(params.get("a", 1.0), "a")
-    x = ctx.operand(n)
-    y = ctx.operand(n)
-    out = ops.axpy(a, x, y)
-    return KernelResult(checksum=float(out.sum()))
+    return KernelResult(checksum=_streamed(
+        ctx, n, 2, lambda x, y: float(ops.axpy(a, x, y).sum())))
 
 
 def _k_scatter_add(ctx, params):
     x_size = _positive_int(params, "x_size")
     y_size = _positive_int(params, "y_size")
-    x = ctx.operand(x_size)
+    x = ctx.whole_operand(x_size)
     idx = ctx.rng.integers(0, y_size, x_size)
     y = ops.scatter_add(x, idx, np.zeros(y_size))
     return KernelResult(checksum=float(y.sum()))
@@ -493,14 +535,14 @@ def _k_scatter_add(ctx, params):
 
 def _k_reduction(ctx, params):
     n = _positive_int(params, "data_size")
-    return KernelResult(checksum=ops.reduction(ctx.operand(n)))
+    return KernelResult(checksum=_streamed(ctx, n, 1, ops.reduction))
 
 
 def _k_inplace_compute(ctx, params):
     n = _positive_int(params, "data_size")
     functor = params["functor"]
-    y = ops.inplace_compute(functor, ctx.operand(n))
-    return KernelResult(checksum=float(y.sum()))
+    return KernelResult(checksum=_streamed(
+        ctx, n, 1, lambda y: float(ops.inplace_compute(functor, y).sum())))
 
 
 # --------------------------------------------------------------------------
@@ -569,7 +611,7 @@ _k_write_mpi = partial(_mpi_io, mode="r+b")
 
 def _collective(ctx, params, op):
     n = _positive_int(params, "data_size")
-    out = op(ctx.comm, ctx.rank_id, ctx.operand(n))
+    out = op(ctx.comm, ctx.rank_id, ctx.whole_operand(n))
     comm_bytes = n * ELEMENT_WIDTH * (ctx.comm.size - 1)  # ring model, per rank
     return KernelResult(bytes_communicated=comm_bytes, checksum=float(out.sum()))
 

@@ -188,6 +188,10 @@ class RunTrace:
                             obj[key] = share(key, value)
                     kind = obj.get("kind")
                     if kind == "run":
+                        if pool is not None:
+                            raise ValueError(f"{path}: a second run header line, of run "
+                                             f"{obj.get('run_id')!r}; a trace holds the "
+                                             f"one run {run_id!r}")
                         schema = obj.get("schema", 0)  # no field: schema 0
                         if type(schema) is not int or schema != SCHEMA:
                             raise ValueError(f"{path}: trace schema {schema!r} is not "

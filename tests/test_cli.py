@@ -199,7 +199,26 @@ def test_run_rejects_a_pool_dimension_that_is_not_an_integer(tmp_path, capsys,
             "--out", str(tmp_path / "runs")]
     assert main(argv) == EXIT_USER
     err = capsys.readouterr().err
-    assert err.startswith("error: pool ") and "must be an integer" in err
+    assert err.startswith(f"error: {pool}: pool ") and "must be an integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"num_nodes": 1, "cpus_per_node": 2.5}, "pool cpus_per_node must be an integer, got 2.5"),
+    ({"num_nodes": 1}, "not a pool: KeyError: 'cpus_per_node'"),
+    ([1, 2], "not a pool: TypeError: "),
+])
+def test_calibrate_names_the_resources_file_it_rejects(tmp_path, capsys, tiny_workflow,
+                                                       doc, message):
+    pool = write_json(tmp_path / "pool.json", doc)
+    target = {"makespan_s": 0.4, "read_bytes": 0, "write_bytes": 4096}
+    profile = write_json(tmp_path / "profile.json",
+                         {"workflow": target, "categories": {"work": target}})
+    argv = ["calibrate", "--workflow", tiny_workflow, "--profile", profile,
+            "--ratio", "0.5", "--resources", pool, "--out", str(tmp_path / "mapping.json")]
+    assert main(argv) == EXIT_USER
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pool}: {message}")
     assert "Traceback" not in err
 
 

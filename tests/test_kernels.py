@@ -189,12 +189,14 @@ def test_scatter_add_rejects_bad_index():
 
 
 def test_scatter_add_kernel_checksum_matches_ops():
-    probe = np.random.default_rng(42)
-    x = seeded_buffer(probe, 50)
-    idx = probe.integers(0, 7, 50)
-    want = float(ops.scatter_add(x, idx, np.zeros(7)).sum())
-    assert [run("scatterAdd", x_size=50, y_size=7).checksum for _ in range(2)] == [want, want]
-    assert run("scatterAdd", seed=43, x_size=50, y_size=7).checksum != want
+    for n in (50, 3 * WORK_BLOCK + 7):
+        probe = np.random.default_rng(42)
+        x = seeded_buffer(probe, n)
+        idx = probe.integers(0, 7, n)
+        want = float(ops.scatter_add(x, idx, np.zeros(7)).sum())
+        assert [run("scatterAdd", x_size=n, y_size=7).checksum
+                for _ in range(2)] == [want, want]
+        assert run("scatterAdd", seed=43, x_size=n, y_size=7).checksum != want
 
 
 @pytest.mark.parametrize("params", [{"x_size": 0, "y_size": 4}, {"x_size": 4, "y_size": 0}])
@@ -284,6 +286,63 @@ def test_copy_memory_does_not_grow_with_data_size():
     assert peak < 2 ** 20
 
 
+def test_streamed_operand_memory_does_not_grow_with_data_size():
+    n = 8 * 2 ** 20
+    for name, params in (("reduction", {}), ("axpy", {"a": 1.5}),
+                         ("inplaceCompute", {"functor": "sqrt"})):
+        ctx = ctx_with()
+        tracemalloc.start()
+        try:
+            execute_kernel(KernelCall(name, {"data_size": n, **params}), ctx=ctx)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 ** 20, name
+
+
+def test_fft_holds_one_transform_at_a_time():
+    span = 2 ** 20
+    ctx = ctx_with()
+    execute_kernel(KernelCall("fft", {"data_size": 8}), ctx=ctx)  # NumPy's FFT setup
+    tracemalloc.start()
+    try:
+        execute_kernel(KernelCall("fft", {"data_size": span}), ctx=ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one transform: its complex input (16 B an element), output (16 B) and
+    # magnitudes (8 B); the MiB holds the two operands' blocks and FFT plan
+    assert peak < 40 * span + 2 ** 20
+
+
+def test_streamed_kernels_match_the_whole_operands():
+    n = 3 * WORK_BLOCK + 7
+    whole = {
+        "reduction": (1, {}, ops.reduction),
+        "axpy": (2, {"a": 1.5}, lambda x, y: float(ops.axpy(1.5, x, y).sum())),
+        "inplaceCompute": (1, {"functor": "sqrt"},
+                           lambda y: float(ops.inplace_compute("sqrt", y).sum())),
+    }
+    for name, (count, params, fn) in whole.items():
+        probe = np.random.default_rng(8)
+        want = fn(*(seeded_buffer(probe, n) for _ in range(count)))
+        ctx = ctx_with(seed=8)
+        got = execute_kernel(KernelCall(name, {"data_size": n, **params}), ctx=ctx)
+        assert got.checksum == pytest.approx(want, rel=1e-12), name
+        # the lane generator ends where drawing the whole operands leaves it
+        assert ctx.rng.random() == probe.random(), name
+
+    n = 4 * WORK_BLOCK
+    for span in (WORK_BLOCK // 4, WORK_BLOCK, 2 * WORK_BLOCK, n):
+        probe = np.random.default_rng(8)
+        data = seeded_buffer(probe, n) + 1j * seeded_buffer(probe, n)
+        want = 0.0
+        for row in data.reshape(-1, span):
+            want += float(np.abs(ops.fft(row)).sum())
+        got = run("fft", seed=8, data_size=n, transform_dim=span)
+        assert got.checksum == want, span
+
+
 def test_seeded_buffer_tiles_deterministically():
     a = seeded_buffer(np.random.default_rng(3), 10_000)
     b = seeded_buffer(np.random.default_rng(3), 10_000)
@@ -308,21 +367,42 @@ def count_draws(monkeypatch):
 
 def test_lane_draws_operands_once_per_shape(monkeypatch):
     calls = count_draws(monkeypatch)
-    spec = parse_task_spec({
-        "name": "memo", "category": "c",
-        "program": [{"loop": True, "count": 5, "body": [
-            {"kernel": "axpy", "params": {"data_size": 10_000}}]}]})
-    sink = MetricsSink()
-    run_task(spec, sink=sink)
-    sums = [e["checksum"] for e in sink if e.get("kind") == "kernel"]
-    assert calls == [10_000, 10_000]  # x and y, drawn on the first call only
-    assert len(sums) == 5 and len(set(sums)) == 1
+    for n in (10_000, 3 * WORK_BLOCK + 7):
+        calls.clear()
+        spec = parse_task_spec({
+            "name": "memo", "category": "c",
+            "program": [{"loop": True, "count": 5, "body": [
+                {"kernel": "axpy", "params": {"data_size": n}}]}]})
+        sink = MetricsSink()
+        run_task(spec, sink=sink)
+        sums = [e["checksum"] for e in sink if e.get("kind") == "kernel"]
+        # x and y, drawn on the first call only; a longer operand keeps a block
+        assert calls == [min(n, WORK_BLOCK)] * 2
+        assert len(sums) == 5 and len(set(sums)) == 1
 
 
 def test_repetitions_reuse_operands(monkeypatch):
     calls = count_draws(monkeypatch)
-    run("axpy", data_size=10_000, repetitions=3)
-    assert len(calls) == 2
+    for n in (10_000, 3 * WORK_BLOCK + 7):
+        calls.clear()
+        run("axpy", data_size=n, repetitions=3)
+        assert len(calls) == 2
+
+
+def test_a_whole_operand_is_kept_and_shared_with_streamed_kernels():
+    n = 3 * WORK_BLOCK + 7
+    ctx = ctx_with(seed=8)
+    execute_kernel(KernelCall("reduction", {"data_size": n}), ctx=ctx)
+    ctx._ordinal = 0
+    assert ctx.operand(n).size == WORK_BLOCK
+    ctx._ordinal = 0
+    whole = ctx.whole_operand(n)
+    assert (whole == seeded_buffer(np.random.default_rng(8), n)).all()
+    assert not whole.flags.writeable
+    ctx._ordinal = 0
+    assert ctx.whole_operand(n) is whole
+    ctx._ordinal = 0
+    assert ctx.operand(n) is whole
 
 
 def test_operands_are_read_only():

@@ -341,6 +341,9 @@ def test_read_jsonl_rejects_schema_2_without_task_facts(tmp_path):
     del doc["tasks"]
     rejected(doc, rest, "no 'tasks' list")
     rejected(dict(doc, tasks="a"), rest, "no 'tasks' list")
+    second = json.dumps(dict(json.loads(header), run_id="later")) + "\n"
+    rejected(json.loads(header), rest[:1] + [second] + rest[1:],
+             "a second run header line, of run 'later'")
     rejected(dict(doc, tasks=["a", "ghost"]), rest, "'ghost' has no task_start")
     rejected(dict(doc, tasks=["a"]), rest[:1] + rest[2:], "'a' has no task_end")
     start = dict(events[0])
